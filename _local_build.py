@@ -27,6 +27,10 @@ Name: {NAME}
 Version: {VERSION}
 Summary: Reproduction of the DATE 2004 Look-Aside Interface design & verification methodology paper
 Requires-Python: >=3.10
+Provides-Extra: test
+Requires-Dist: pytest; extra == "test"
+Requires-Dist: pytest-benchmark; extra == "test"
+Requires-Dist: hypothesis; extra == "test"
 """
 
 WHEEL_FILE = f"""Wheel-Version: 1.0

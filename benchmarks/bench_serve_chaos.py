@@ -12,10 +12,11 @@ the journal instead of recomputing them (the journal hit count is
 asserted, not just reported).  Coverage-driven testgen rides along with
 a jobs=2 vs jobs=1 parity check on the full coverage DB.
 
-Chaos is injected with exactly-once marker files (O_CREAT|O_EXCL): the
-first worker to claim the kill marker dies with ``os._exit(137)``
-mid-shard, the first to claim the hang marker sleeps for an hour and
-must be killed by the supervisor.  Everything is therefore
+Chaos is injected through the in-process hook
+:func:`repro.par.workers.inject_chaos`, with exactly-once marker files
+(O_CREAT|O_EXCL): the first worker to claim the kill marker dies with
+``os._exit(137)`` mid-shard, the first to claim the hang marker sleeps
+for an hour and must be killed by the supervisor.  Everything is therefore
 deterministic: the bench either proves the contract or fails loudly.
 
 ``--smoke`` (CI) uses the 1-bank campaign; the default adds the 4-bank
@@ -29,6 +30,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import sys
 import tempfile
@@ -38,7 +40,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.cover.testgen import undirected_suite  # noqa: E402
 from repro.fault.campaign import CampaignConfig, FaultCampaign  # noqa: E402
-from repro.par.workers import la1_model_spec  # noqa: E402
+from repro.par.workers import inject_chaos, la1_model_spec  # noqa: E402
 
 
 class Killed(Exception):
@@ -46,7 +48,11 @@ class Killed(Exception):
 
 
 def _signature(report) -> int:
-    return hash(report.signature()) & 0xFFFFFFFF
+    """A 32-bit digest of the campaign signature, stable across
+    processes (``hash()`` of a str tuple is randomized per process)."""
+    digest = hashlib.blake2b(repr(report.signature()).encode(),
+                             digest_size=4).digest()
+    return int.from_bytes(digest, "big")
 
 
 def _run(config: CampaignConfig, jobs: int, on_verdict=None) -> tuple:
@@ -69,9 +75,10 @@ def chaos_campaign(banks: int, traffic: int, rtl_cycles: int,
     # -- tier 1: a worker killed mid-shard is retried ------------------
     print(f"campaign banks={banks}: worker kill ...", flush=True)
     marker = os.path.join(workdir, f"kill.{banks}")
-    report, wall = _run(CampaignConfig(
-        **base, chaos_kill_marker=marker,
-        journal_path=os.path.join(workdir, f"kill.{banks}.wal")), jobs)
+    with inject_chaos(kill=marker):
+        report, wall = _run(CampaignConfig(
+            **base,
+            journal_path=os.path.join(workdir, f"kill.{banks}.wal")), jobs)
     par = report.engine_stats["par"]
     assert os.path.exists(marker), "chaos kill was never claimed"
     assert par["retries"] >= 1, "the killed shard was not retried"
@@ -87,9 +94,10 @@ def chaos_campaign(banks: int, traffic: int, rtl_cycles: int,
         print(f"campaign banks={banks}: worker hang + reap ...",
               flush=True)
         marker = os.path.join(workdir, f"hang.{banks}")
-        report, wall = _run(CampaignConfig(
-            **base, chaos_hang_marker=marker,
-            shard_deadline_s=hang_deadline_s, shard_attempts=3), jobs)
+        with inject_chaos(hang=marker):
+            report, wall = _run(CampaignConfig(
+                **base, shard_deadline_s=hang_deadline_s,
+                shard_attempts=3), jobs)
         par = report.engine_stats["par"]
         assert os.path.exists(marker), "chaos hang was never claimed"
         assert par["killed_workers"] >= 1, \
@@ -101,27 +109,24 @@ def chaos_campaign(banks: int, traffic: int, rtl_cycles: int,
     # -- tier 3: coordinator killed between callbacks, then resumed ----
     print(f"campaign banks={banks}: coordinator kill + restart ...",
           flush=True)
-    os.environ["REPRO_PAR_INLINE"] = "1"  # shard 0 collects first
     journal = os.path.join(workdir, f"restart.{banks}.wal")
-    try:
-        def die_on_first(verdict):
-            raise Killed(verdict.fault_id)
 
-        start = time.perf_counter()
-        try:
-            FaultCampaign(CampaignConfig(
-                **base, journal_path=journal)).run(
-                jobs=jobs, on_verdict=die_on_first)
-            raise AssertionError("the injected coordinator kill misfired")
-        except Killed:
-            pass
-        report, __ = _run(CampaignConfig(**base, journal_path=journal),
-                          jobs)
-        wall = round(time.perf_counter() - start, 3)
-    finally:
-        del os.environ["REPRO_PAR_INLINE"]
+    def die_on_first(verdict):
+        raise Killed(verdict.fault_id)
+
+    start = time.perf_counter()
+    try:
+        FaultCampaign(CampaignConfig(**base, journal_path=journal)).run(
+            jobs=jobs, on_verdict=die_on_first)
+        raise AssertionError("the injected coordinator kill misfired")
+    except Killed:
+        pass
+    report, __ = _run(CampaignConfig(**base, journal_path=journal), jobs)
+    wall = round(time.perf_counter() - start, 3)
     par = report.engine_stats["par"]
-    assert par["journal_hits"] >= 1, \
+    # the kill strikes in the first shard's collection callback, after
+    # that shard was journaled: exactly one shard replays on resume
+    assert par["journal_hits"] == 1, \
         "resume recomputed shards the journal already held"
     assert _signature(report) == want, "coordinator restart changed verdicts"
     scenarios["coordinator_restart"] = {

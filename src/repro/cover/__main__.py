@@ -22,8 +22,8 @@ import os
 import sys
 
 from ..cli import bounded_int
+from ..par import ShardError, run_supervised, workers
 from .db import CoverageDB
-from .la1 import collect_la1_coverage
 
 #: CI gate: merged all-level coverage the smoke collection must reach.
 #: The denominator is dominated by structural toggle points on the SRAM
@@ -60,9 +60,9 @@ def main(argv=None) -> int:
                              "collected DB is identical to --lanes 1")
     parser.add_argument("--jobs", type=bounded_int("--jobs", 1, 128),
                         default=1,
-                        help="collect the per-seed shards on a process "
-                             "pool (repro.par); the merged DB is "
-                             "identical to --jobs 1")
+                        help="collect the per-seed shards in parallel "
+                             "worker processes (repro.par); the merged DB "
+                             "is identical to --jobs 1")
     parser.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                         help="exit 1 when merged coverage is below this "
                              f"(default {DEFAULT_THRESHOLD})")
@@ -120,20 +120,22 @@ def main(argv=None) -> int:
     for kwargs in shard_kwargs:
         print(f"collecting: {banks} banks, traffic={args.traffic}, "
               f"seed={kwargs['seed']}, backend={args.backend}")
-    if args.jobs > 1 and len(shard_kwargs) > 1:
-        from ..par import run_sharded
-        from ..par.workers import cover_collect_shard
-
-        results, stats = run_sharded(
-            cover_collect_shard,
-            [(kwargs,) for kwargs in shard_kwargs],
-            jobs=args.jobs,
-        )
-        shards = [CoverageDB.from_dict(result) for result in results]
+    results, stats = run_supervised(
+        workers.cover_collect_shard,
+        [(kwargs,) for kwargs in shard_kwargs],
+        jobs=args.jobs,
+    )
+    if args.jobs > 1:
         print(f"par: jobs={stats.jobs} mode={stats.mode} "
               f"wall={stats.wall_s:.2f}s")
-    else:
-        shards = [collect_la1_coverage(**kwargs) for kwargs in shard_kwargs]
+    errors = [result for result in results if isinstance(result, ShardError)]
+    for error in errors:
+        print(f"FAIL: coverage shard seed={shard_kwargs[error.index]['seed']}"
+              f" quarantined after {error.attempts} attempt(s): "
+              f"[{error.kind}] {error.detail}", file=sys.stderr)
+    if errors:
+        return 1
+    shards = [CoverageDB.from_dict(result) for result in results]
     merged = CoverageDB.merged(shards)
 
     if len(shards) > 1:

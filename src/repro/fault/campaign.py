@@ -92,10 +92,7 @@ class CampaignConfig:
         max_faults: Optional[int] = None,
         shard_attempts: int = 2,
         shard_deadline_s: Optional[float] = None,
-        retry_backoff_s: float = 0.05,
         journal_path: Optional[str] = None,
-        chaos_kill_marker: Optional[str] = None,
-        chaos_hang_marker: Optional[str] = None,
         design: Optional[str] = None,
         patterns: int = 1,
     ):
@@ -113,19 +110,14 @@ class CampaignConfig:
         self.checkpoint_path = checkpoint_path
         self.max_faults = max_faults
         #: supervised execution budget (jobs > 1): attempts per shard
-        #: before quarantine, per-shard wall-clock before the worker is
-        #: killed, and the retry backoff base (repro.par.supervise)
+        #: before quarantine, and per-shard wall-clock before the worker
+        #: is killed (repro.par.supervise)
         self.shard_attempts = shard_attempts
         self.shard_deadline_s = shard_deadline_s
-        self.retry_backoff_s = retry_backoff_s
         #: write-ahead journal for jobs > 1: collected shard reports are
         #: durably appended as they land, so a killed coordinator
         #: resumes without recomputing any collected shard
         self.journal_path = journal_path
-        #: chaos-injection markers (tests / bench / serve --smoke only):
-        #: the first worker to claim one dies / hangs exactly once
-        self.chaos_kill_marker = chaos_kill_marker
-        self.chaos_hang_marker = chaos_hang_marker
         #: PPSFP's second axis: sweep each stimulus-sensitive fault
         #: (RTL state faults, stimulus mutations) under this many
         #: stimulus patterns -- pattern 0 is the base stream, pattern
@@ -1064,7 +1056,6 @@ class FaultCampaign:
                 timeout_s=timeout,
                 shard_deadline_s=config.shard_deadline_s,
                 max_attempts=config.shard_attempts,
-                backoff_base_s=config.retry_backoff_s,
                 seed=config.seed,
                 on_result=collect,
                 journal=journal,

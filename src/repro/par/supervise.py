@@ -1,19 +1,26 @@
-"""Supervised shard execution: retry, quarantine, reap, journal, resume.
+"""Supervised shard execution: plan, retry, quarantine, reap, journal, resume.
 
-:func:`run_sharded` (the plain pool) treats any worker failure as fatal
-to the pool and degrades the whole run inline -- correct for the rare
-fork-refusal case, but a long-lived verification service needs finer
-containment: a worker that segfaults on one poisoned shard must not
-drag thirty healthy shards back to sequential execution, a hung shard
-must be *killed* (not politely cancelled) and retried elsewhere, and a
+This is the one fan-out of :mod:`repro.par`: every parallel caller (the
+fault campaign, coverage testgen, MC sweeps, the flow, the coverage CLI)
+plans its work with :func:`plan_shards` and runs it with
+:func:`run_supervised`.  A long-lived verification service needs
+per-shard containment: a worker that segfaults on one poisoned shard
+must not drag thirty healthy shards back to sequential execution, a
+hung shard must be *killed* (not politely cancelled) and retried, and a
 coordinator restart must resume from durable state instead of
 recomputing finished shards.
 
-:func:`run_supervised` provides that ladder.  It manages one worker
+:func:`plan_shards` turns a work list into at most ``jobs`` shards with
+a stable greedy longest-processing-time packing: items are considered in
+descending weight (ties broken by original position) and each goes to
+the currently lightest shard (ties broken by shard index).  Equal inputs
+always produce equal plans, and within a shard the original submission
+order is preserved -- both facts the determinism tests rely on.
+
+:func:`run_supervised` manages one worker
 :class:`multiprocessing.Process` per in-flight shard (a shard plan has
-at most ``jobs`` shards, so this costs the same number of processes as
-the pool, while making per-shard kill possible -- a
-``ProcessPoolExecutor`` cannot terminate one task):
+at most ``jobs`` shards, so this costs one process per shard while
+making per-shard kill possible):
 
 * **retry with backoff** -- a shard whose worker raises, crashes, or
   exceeds ``shard_deadline_s`` is re-attempted up to ``max_attempts``
@@ -39,24 +46,32 @@ the pool, while making per-shard kill possible -- a
 
 Retries never change *what* is computed -- a shard's task and args are
 immutable across attempts -- so verdict content is attempt-count
-invariant; only the timing fields of :class:`~repro.par.pool.ParStats`
-differ.  ``jobs <= 1`` applies the same retry/quarantine/journal ladder
-inline (no per-shard deadline: a coordinator cannot kill itself).
+invariant; only the timing fields of :class:`ParStats` differ.
+``jobs <= 1`` applies the same retry/quarantine/journal ladder inline
+(no per-shard deadline: a coordinator cannot kill itself).  When the
+process machinery itself is unavailable (no fork, no queue), the
+unresolved shards finish inline (``mode="pool+inline"``); an exception
+raised by the caller's ``on_result`` always propagates unchanged.
+
+Per-shard wall-clock is measured *inside* the worker, so
+:class:`ParStats` reports honest compute times: ``critical_path_s`` is
+the longest shard and ``speedup_estimate`` the speedup the plan would
+deliver given at least ``jobs`` free cores.
 """
 
 from __future__ import annotations
 
-import os
+import multiprocessing
 import time
 import warnings
 from collections import deque
 from queue import Empty
 from typing import Callable, Optional, Sequence
 
-from .pool import ParStats, _mp_context, _timed_call
 from .seeds import derive_seed
 
-__all__ = ["ShardError", "run_supervised", "backoff_delay"]
+__all__ = ["ParStats", "ShardError", "backoff_delay", "plan_shards",
+           "run_supervised"]
 
 #: how long a dead worker gets to flush a late result from its queue
 #: feeder thread before the coordinator declares the shard crashed
@@ -64,6 +79,138 @@ _CRASH_GRACE_S = 0.25
 
 #: coordinator poll quantum (queue waits and liveness checks)
 _POLL_S = 0.02
+
+#: retry backoff: base delay before the second attempt, doubling per
+#: attempt up to the cap (see :func:`backoff_delay`)
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 2.0
+
+
+def plan_shards(
+    items: Sequence,
+    jobs: int,
+    weight: Optional[Callable[[object], float]] = None,
+) -> list[list]:
+    """Pack ``items`` into at most ``jobs`` shards, deterministically.
+
+    With no ``weight`` every item counts 1 (round-robin-like balance);
+    with one, the classic greedy LPT heuristic keeps the heaviest items
+    spread across shards, which is what makes the 4-bank fault campaign
+    scale (three ASM faults carry ~90% of its cost).  Empty shards are
+    dropped.  ``jobs <= 1`` returns a single shard with the original
+    order.
+    """
+    items = list(items)
+    if jobs <= 1 or len(items) <= 1:
+        return [items] if items else []
+    n_shards = min(jobs, len(items))
+    weights = [1.0 if weight is None else float(weight(it)) for it in items]
+    order = sorted(range(len(items)), key=lambda i: (-weights[i], i))
+    loads = [0.0] * n_shards
+    assigned: list[list[int]] = [[] for __ in range(n_shards)]
+    for i in order:
+        target = min(range(n_shards), key=lambda s: (loads[s], s))
+        loads[target] += weights[i]
+        assigned[target].append(i)
+    # preserve submission order within each shard
+    return [
+        [items[i] for i in sorted(shard)] for shard in assigned if shard
+    ]
+
+
+class ParStats:
+    """Execution accounting of one :func:`run_supervised` call."""
+
+    def __init__(self, jobs: int, shards: int):
+        self.jobs = jobs
+        self.shards = shards
+        #: "inline" | "pool" | "pool+inline" (degraded mid-flight)
+        self.mode = "inline"
+        #: why the pool was abandoned, when it was
+        self.fallback_reason: Optional[str] = None
+        #: worker-measured wall-clock per shard (shard order)
+        self.shard_wall_s: list[float] = []
+        #: shard indices never collected before ``timeout_s`` expired
+        self.timed_out: list[int] = []
+        #: overall wall-clock of the run_supervised call
+        self.wall_s = 0.0
+        #: shard attempts beyond the first
+        self.retries = 0
+        #: shard indices quarantined after exhausting their attempt
+        #: budget (each has a ShardError result)
+        self.quarantined: list[int] = []
+        #: worker processes forcibly terminated (hung-shard reaping and
+        #: overall-timeout cleanup)
+        self.killed_workers = 0
+        #: shards answered from a write-ahead journal instead of being
+        #: recomputed (resume)
+        self.journal_hits = 0
+
+    @property
+    def critical_path_s(self) -> float:
+        """The longest shard: the plan's lower bound on wall-clock."""
+        return max(self.shard_wall_s, default=0.0)
+
+    @property
+    def total_shard_s(self) -> float:
+        """Sum of per-shard compute (the sequential-equivalent cost)."""
+        return sum(self.shard_wall_s)
+
+    @property
+    def speedup_estimate(self) -> float:
+        """Speedup the shard plan supports given >= ``jobs`` free cores
+        (sequential-equivalent over critical path; 1.0 when degenerate)."""
+        critical = self.critical_path_s
+        if critical <= 0.0:
+            return 1.0
+        return self.total_shard_s / critical
+
+    def to_dict(self) -> dict:
+        return {
+            "jobs": self.jobs,
+            "shards": self.shards,
+            "mode": self.mode,
+            "fallback_reason": self.fallback_reason,
+            "shard_wall_s": [round(s, 4) for s in self.shard_wall_s],
+            "timed_out": list(self.timed_out),
+            "wall_s": round(self.wall_s, 4),
+            "critical_path_s": round(self.critical_path_s, 4),
+            "speedup_estimate": round(self.speedup_estimate, 3),
+            "retries": self.retries,
+            "quarantined": list(self.quarantined),
+            "killed_workers": self.killed_workers,
+            "journal_hits": self.journal_hits,
+        }
+
+    def __repr__(self):
+        return (
+            f"ParStats(jobs={self.jobs}, shards={self.shards}, "
+            f"mode={self.mode}, wall={self.wall_s:.2f}s)"
+        )
+
+
+def _timed_call(task, args) -> tuple[float, object]:
+    """Worker-side wrapper: execute and measure one shard."""
+    start = time.perf_counter()
+    value = task(*args)
+    return time.perf_counter() - start, value
+
+
+def _mp_context():
+    """Fork when the platform has it (cheap warm-start: workers inherit
+    loaded modules), otherwise the platform default."""
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context()
+
+
+class _PoolUnavailable(Exception):
+    """The process machinery itself failed (no fork, no queue): the only
+    error that finishes a supervised run inline instead of raising."""
+
+    def __init__(self, cause: Exception):
+        super().__init__(f"{type(cause).__name__}: {cause}")
 
 
 class ShardError:
@@ -134,9 +281,8 @@ class _Supervisor:
     """Coordinator state of one :func:`run_supervised` call."""
 
     def __init__(self, task, shard_args, jobs, initializer, initargs,
-                 timeout_s, shard_deadline_s, max_attempts, backoff_base_s,
-                 backoff_max_s, seed, on_result, journal,
-                 journal_fingerprint):
+                 timeout_s, shard_deadline_s, max_attempts, seed,
+                 on_result, journal, journal_fingerprint):
         self.task = task
         self.shard_args = [tuple(args) for args in shard_args]
         self.jobs = jobs
@@ -144,8 +290,6 @@ class _Supervisor:
         self.initargs = initargs
         self.shard_deadline_s = shard_deadline_s
         self.max_attempts = max(1, max_attempts)
-        self.backoff_base_s = backoff_base_s
-        self.backoff_max_s = backoff_max_s
         self.seed = seed
         self.on_result = on_result
         self.journal = journal
@@ -161,6 +305,11 @@ class _Supervisor:
         self.stats.shard_wall_s = [0.0] * n
 
     # -- shared resolution paths --------------------------------------
+    def _backoff(self, index: int) -> float:
+        """The sleep before shard ``index``'s next attempt."""
+        return backoff_delay(self.seed, index, self.attempts[index] + 1,
+                             BACKOFF_BASE_S, BACKOFF_MAX_S)
+
     def _collect(self, index: int, wall: float, value,
                  from_journal: bool = False) -> None:
         self.results[index] = value
@@ -252,17 +401,18 @@ class _Supervisor:
                             f"{type(exc).__name__}: {exc}")
                         break
                     self.stats.retries += 1
-                    time.sleep(backoff_delay(
-                        self.seed, index, self.attempts[index] + 1,
-                        self.backoff_base_s, self.backoff_max_s))
+                    time.sleep(self._backoff(index))
                 else:
                     self._collect(index, wall, value)
                     break
 
     # -- pool execution -----------------------------------------------
     def run_pool(self) -> None:
-        ctx = _mp_context()
-        result_q = ctx.Queue()
+        try:
+            ctx = _mp_context()
+            result_q = ctx.Queue()
+        except Exception as exc:
+            raise _PoolUnavailable(exc) from exc
         #: (index, eligible_at) of shards waiting for a worker slot
         pending = deque(
             (index, 0.0) for index in range(len(self.shard_args))
@@ -273,17 +423,20 @@ class _Supervisor:
         workers = max(1, self.jobs)
 
         def spawn(index: int) -> None:
-            self.attempts[index] += 1
+            attempt = self.attempts[index] + 1
             proc = ctx.Process(
                 target=_supervised_worker,
-                args=(result_q, index, self.attempts[index], self.task,
+                args=(result_q, index, attempt, self.task,
                       self.shard_args[index], self.initializer,
                       self.initargs),
                 daemon=True,
             )
-            proc.start()
-            running[proc] = [index, self.attempts[index],
-                             time.perf_counter(), None]
+            try:
+                proc.start()
+            except Exception as exc:
+                raise _PoolUnavailable(exc) from exc
+            self.attempts[index] = attempt
+            running[proc] = [index, attempt, time.perf_counter(), None]
 
         def release(proc) -> None:
             running.pop(proc, None)
@@ -300,9 +453,7 @@ class _Supervisor:
                 self._quarantine(index, kind, detail)
                 return
             self.stats.retries += 1
-            eligible = time.perf_counter() + backoff_delay(
-                self.seed, index, self.attempts[index] + 1,
-                self.backoff_base_s, self.backoff_max_s)
+            eligible = time.perf_counter() + self._backoff(index)
             pending.append((index, eligible))
 
         def drain(block_s: float = 0.0) -> bool:
@@ -315,6 +466,8 @@ class _Supervisor:
                         timeout=timeout) if timeout else result_q.get_nowait()
                 except Empty:
                     return got
+                except Exception as exc:
+                    raise _PoolUnavailable(exc) from exc
                 got, timeout = True, 0.0
                 status, index, attempt, wall, value = message
                 owner = next(
@@ -410,8 +563,6 @@ def run_supervised(
     timeout_s: Optional[float] = None,
     shard_deadline_s: Optional[float] = None,
     max_attempts: int = 2,
-    backoff_base_s: float = 0.05,
-    backoff_max_s: float = 2.0,
     seed: int = 0,
     on_result: Optional[Callable[[int, object], None]] = None,
     journal=None,
@@ -424,7 +575,9 @@ def run_supervised(
     ``max_attempts``), or ``None`` (abandoned by ``timeout_s``,
     recorded in ``stats.timed_out``).  ``on_result(index, value)``
     fires in completion order the moment a shard lands -- including
-    once per shard replayed from ``journal``.
+    once per shard replayed from ``journal``.  An exception raised by
+    ``on_result`` propagates unchanged (in-flight workers are killed);
+    it never triggers the inline fallback.
 
     ``journal`` is any object with ``append(dict)`` and ``replay()``
     (:class:`repro.serve.journal.Journal`); journaled values must be
@@ -435,26 +588,25 @@ def run_supervised(
     """
     supervisor = _Supervisor(
         task, shard_args, jobs, initializer, initargs, timeout_s,
-        shard_deadline_s, max_attempts, backoff_base_s, backoff_max_s,
-        seed, on_result, journal, journal_fingerprint,
+        shard_deadline_s, max_attempts, seed, on_result, journal,
+        journal_fingerprint,
     )
     supervisor._replay_journal()
     if not supervisor.shard_args or all(supervisor.resolved):
         pass
-    elif jobs <= 1 or len(supervisor.shard_args) <= 1 or (
-            os.environ.get("REPRO_PAR_INLINE") == "1"):
+    elif jobs <= 1 or len(supervisor.shard_args) <= 1:
         supervisor.run_inline()
     else:
         try:
             supervisor.run_pool()
-        except Exception as exc:
-            # the same degradation ladder as run_sharded: a failure of
-            # the pool *infrastructure* (fork refusal, queue teardown,
-            # pickling trouble) finishes the unresolved shards inline
-            # instead of aborting -- worker failures never get here,
-            # they are contained per-shard by the supervision above
+        except _PoolUnavailable as exc:
+            # the process machinery failed (fork refusal, queue
+            # teardown): finish the unresolved shards inline instead of
+            # aborting.  Worker failures never get here -- they are
+            # contained per shard -- and an exception from the caller's
+            # on_result is not caught at all
             supervisor.stats.mode = "pool+inline"
-            supervisor.stats.fallback_reason = f"{type(exc).__name__}: {exc}"
+            supervisor.stats.fallback_reason = str(exc)
             supervisor.run_inline()
     supervisor.stats.timed_out.sort()
     supervisor.stats.quarantined.sort()

@@ -1,8 +1,7 @@
-"""Module-level worker entry points for :func:`repro.par.run_sharded`.
+"""Module-level worker entry points for :func:`repro.par.run_supervised`.
 
-Everything a :class:`~concurrent.futures.ProcessPoolExecutor` touches
-must be picklable by reference, so the task functions live here at
-module level, and every expensive structure (a fault campaign's
+The task functions live here at module level, importable by reference
+in every worker, and every expensive structure (a fault campaign's
 simulators, an ASM machine, an elaborated netlist) is built *once per
 worker process* through the matching ``*_init`` initializer and cached
 in module globals -- the warm-start that keeps per-shard cost at the
@@ -18,6 +17,7 @@ worker rebuilds the model locally.  Deterministic factories plus
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import json
 import os
@@ -26,7 +26,7 @@ from typing import Optional
 
 __all__ = [
     "ModelSpec",
-    "apply_chaos",
+    "inject_chaos",
     "la1_model_spec",
     "build_la1_testgen_model",
     "la1_traffic_model_spec",
@@ -126,6 +126,28 @@ def _model(spec: ModelSpec):
 # ----------------------------------------------------------------------
 # chaos injection (tests / chaos bench / serve --smoke only)
 # ----------------------------------------------------------------------
+#: the chaos hook: marker paths under "kill" and "hang".  Only
+#: in-process code sets it (:func:`inject_chaos`) -- no config or job
+#: spec reaches it -- and forked workers inherit it.
+_CHAOS: dict = {}
+
+
+@contextlib.contextmanager
+def inject_chaos(kill: Optional[str] = None, hang: Optional[str] = None):
+    """Arm the campaign workers forked inside the ``with`` block: the
+    first to claim ``kill`` dies instantly (``os._exit``), simulating an
+    OOM kill or segfault; the first to claim ``hang`` wedges, simulating
+    a hung engine the supervisor must reap.  Each marker strikes exactly
+    once, so a retried attempt proceeds normally."""
+    saved = dict(_CHAOS)
+    _CHAOS.update(kill=kill, hang=hang)
+    try:
+        yield
+    finally:
+        _CHAOS.clear()
+        _CHAOS.update(saved)
+
+
 def _claim_marker(path: Optional[str]) -> bool:
     """Atomically claim a chaos marker file: True for exactly one
     claimant across all workers and attempts, False ever after -- which
@@ -139,19 +161,11 @@ def _claim_marker(path: Optional[str]) -> bool:
     return True
 
 
-def apply_chaos(config) -> None:
-    """Honour the chaos knobs a campaign config may carry.
-
-    ``chaos_kill_marker``: the first worker to claim the marker dies
-    instantly (``os._exit``), simulating an OOM kill or segfault;
-    ``chaos_hang_marker``: the first claimant wedges, simulating a hung
-    engine the supervisor must reap.  Both strike exactly once, so a
-    retried attempt proceeds normally -- the supervised determinism
-    story the chaos bench asserts.
-    """
-    if _claim_marker(getattr(config, "chaos_kill_marker", None)):
+def _apply_chaos() -> None:
+    """Strike the armed chaos markers (see :func:`inject_chaos`)."""
+    if _claim_marker(_CHAOS.get("kill")):
         os._exit(137)
-    if _claim_marker(getattr(config, "chaos_hang_marker", None)):
+    if _claim_marker(_CHAOS.get("hang")):
         time.sleep(3600)
 
 
@@ -199,7 +213,7 @@ def campaign_shard(config, faults, lanes: int = 1,
     ``patterns_per_pass`` caps the pattern-group tiling per pass."""
     from ..fault.campaign import CampaignReport
 
-    apply_chaos(config)
+    _apply_chaos()
     campaign = _campaign(config)
     verdicts = campaign.execute_faults(
         faults, lanes=lanes, patterns_per_pass=patterns_per_pass)

@@ -65,7 +65,7 @@ def smoke() -> int:
     import os
 
     from ..fault.campaign import CampaignConfig, FaultCampaign
-    from ..par.workers import la1_model_spec
+    from ..par.workers import inject_chaos, la1_model_spec
     from .server import serve_in_thread
 
     print("serve smoke: computing inline goldens (jobs=1, no chaos)")
@@ -93,12 +93,12 @@ def smoke() -> int:
             # kill: the first worker to claim the marker dies with
             # os._exit(137) mid-shard and supervision must retry it
             kill_marker = os.path.join(root, "chaos.kill")
-            submitted = _http("POST", f"{base}/jobs", {
-                "kind": "campaign",
-                "spec": {**campaign_spec, "jobs": 2,
-                         "chaos_kill_marker": kill_marker},
-            })
-            record = _wait_terminal(base, submitted["id"])
+            with inject_chaos(kill=kill_marker):
+                submitted = _http("POST", f"{base}/jobs", {
+                    "kind": "campaign",
+                    "spec": {**campaign_spec, "jobs": 2},
+                })
+                record = _wait_terminal(base, submitted["id"])
             _check("campaign finished clean",
                    record["status"] == "done")
             report = record["result"]

@@ -9,7 +9,7 @@ methods:
 * :meth:`Job.fingerprint` -- the *content identity* of the work: every
   field that can change the result (design shape, stimulus seed,
   workload config) and none that cannot (process/lane fan-out, retry
-  budgets, chaos markers).  Two submissions with equal fingerprints are
+  budgets and deadlines).  Two submissions with equal fingerprints are
   the same work, so the server dedupes them onto one computation and
   one content-addressed store entry (:func:`repro.serve.store.content_key`
   of ``(kind, fingerprint)``).
@@ -105,12 +105,6 @@ class CampaignJob(Job):
         self.patterns_per_pass = _get(spec, "patterns_per_pass", None,
                                       (int,))
         self.deadline_s = _get(spec, "deadline_s", None, (int, float))
-        # chaos markers ride the spec (smoke/bench only) but are
-        # execution-side: they must not perturb the content identity
-        self.chaos_kill_marker = _get(
-            spec, "chaos_kill_marker", None, (str,))
-        self.chaos_hang_marker = _get(
-            spec, "chaos_hang_marker", None, (str,))
 
     def fingerprint(self) -> dict:
         fingerprint = {
@@ -154,8 +148,6 @@ class CampaignJob(Job):
             journal_path=self._spool(workdir, "wal.jsonl"),
             shard_attempts=self.shard_attempts,
             shard_deadline_s=self.shard_deadline_s,
-            chaos_kill_marker=self.chaos_kill_marker,
-            chaos_hang_marker=self.chaos_hang_marker,
         )
         report = FaultCampaign(config).run(
             jobs=self.jobs,
@@ -310,7 +302,10 @@ class FlowJob(Job):
         self.traffic = int(_get(spec, "traffic", 40, (int,)))
         self.seed = int(_get(spec, "seed", 2004, (int,)))
         self.rtl_mc = _get(spec, "rtl_mc", "control", (str,))
-        self.mc_engine = str(_get(spec, "mc_engine", "sat", (str,)))
+        # zoo designs default to SAT, the LA-1 flow to the paper's BDD
+        # engine (the same per-flow defaults as FlowConfig/run_dsl_flow)
+        self.mc_engine = str(_get(spec, "mc_engine",
+                                  "sat" if self.design else "bdd", (str,)))
         self.coverage = bool(_get(spec, "coverage", True, (bool, int)))
 
     def fingerprint(self) -> dict:
@@ -325,13 +320,18 @@ class FlowJob(Job):
                 "seed": self.seed,
                 "mc_engine": self.mc_engine,
             }
-        return {
+        fingerprint = {
             "banks": self.banks,
             "traffic": self.traffic,
             "seed": self.seed,
             "rtl_mc": self.rtl_mc,
             "coverage": self.coverage,
         }
+        if self.mc_engine != "bdd":
+            # conditional key: default-engine submissions keep their
+            # pre-engine content identity (and store entries)
+            fingerprint["mc_engine"] = self.mc_engine
+        return fingerprint
 
     def run(self, emit: Emit, workdir: Optional[str] = None) -> dict:
         if self.design:
@@ -361,6 +361,7 @@ class FlowJob(Job):
             traffic=self.traffic,
             seed=self.seed,
             rtl_mc=self.rtl_mc,
+            mc_engine=self.mc_engine,
             coverage=self.coverage,
             jobs=self.jobs,
             shard_attempts=self.shard_attempts,

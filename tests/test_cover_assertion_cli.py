@@ -184,6 +184,31 @@ class TestCli:
         saved = CoverageDB.load(str(out))
         assert saved.levels() == ["asm", "assert", "func", "rtl"]
 
+    def test_jobs_2_writes_the_jobs_1_db(self, tmp_path, capsys):
+        serial, parallel = tmp_path / "j1.json", tmp_path / "j2.json"
+        for jobs, path in (("1", serial), ("2", parallel)):
+            assert main(["--smoke", "--traffic", "10", "--asm-steps", "32",
+                         "--threshold", "0", "--jobs", jobs,
+                         "--json", str(path)]) == 0
+        assert "par: jobs=2 mode=pool" in capsys.readouterr().out
+        assert parallel.read_text() == serial.read_text()
+
+    def test_quarantined_shard_exits_nonzero(self, monkeypatch, capsys):
+        def poisoned(kwargs):
+            if kwargs["seed"] == 2005:
+                raise RuntimeError("poisoned coverage shard")
+            return collect_la1_coverage(**kwargs).to_dict()
+
+        monkeypatch.setattr("repro.par.workers.cover_collect_shard",
+                            poisoned)
+        rc = main(["--smoke", "--traffic", "10", "--asm-steps", "32",
+                   "--threshold", "0", "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "seed=2005 quarantined" in captured.err
+        assert "poisoned coverage shard" in captured.err
+        assert "merge:" not in captured.out  # no partial merge
+
     def test_threshold_miss_exits_nonzero(self, capsys):
         rc = main(["--banks", "1", "--traffic", "6", "--asm-steps", "16",
                    "--threshold", "0.99"])

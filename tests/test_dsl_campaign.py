@@ -70,7 +70,7 @@ class TestServeAdapters:
     def test_execution_knobs_keep_identity(self):
         a = CampaignJob({"design": "noc", "seed": 7})
         b = CampaignJob({"design": "noc", "seed": 7, "jobs": 4,
-                         "lanes": 8, "chaos_kill_marker": "/tmp/x"})
+                         "lanes": 8})
         assert a.key() == b.key()
 
     def test_flow_fingerprint_tracks_engine_and_seed(self):

@@ -10,6 +10,7 @@ import pytest
 from repro.fault.campaign import CampaignConfig, FaultCampaign
 from repro.mc.sweep import PropertySweepReport
 from repro.par import ParStats
+from repro.par.workers import inject_chaos
 
 SMALL = dict(banks=1, traffic=6, rtl_cycles=100, max_faults=6)
 
@@ -86,12 +87,10 @@ class TestCoordinatorKillRecovery:
 
         assert content(resumed) == content(golden)
 
-    def test_journal_resume_skips_completed_shards(
-            self, tmp_path, monkeypatch):
+    def test_journal_resume_skips_completed_shards(self, tmp_path):
         # journal-only config (no checkpoint): the shard journal alone
         # must make a killed jobs=N coordinator resume without
         # recomputing collected shards -- journal hits prove it
-        monkeypatch.setenv("REPRO_PAR_INLINE", "1")  # deterministic kill
         golden = _campaign().run(jobs=1)
         path = str(tmp_path / "wal.jsonl")
 
@@ -104,6 +103,7 @@ class TestCoordinatorKillRecovery:
         with pytest.raises(Killed):
             _campaign(journal_path=path).run(
                 jobs=2, on_verdict=die_on_second_shards_verdicts)
+        assert len(calls) == 1  # the kill propagated, no inline rerun
         assert os.path.exists(path)  # first shard journaled durably
         resumed = _campaign(journal_path=path).run(jobs=2)
         assert resumed.signature() == golden.signature()
@@ -115,9 +115,9 @@ class TestCoordinatorKillRecovery:
         # an induced worker kill mid-campaign perturbs only timing
         golden = _campaign().run(jobs=1)
         marker = str(tmp_path / "chaos.kill")
-        report = _campaign(chaos_kill_marker=marker,
-                           journal_path=str(tmp_path / "wal.jsonl")).run(
-            jobs=2)
+        with inject_chaos(kill=marker):
+            report = _campaign(
+                journal_path=str(tmp_path / "wal.jsonl")).run(jobs=2)
         assert os.path.exists(marker)  # the kill really happened
         assert report.signature() == golden.signature()
         assert report.engine_stats["par"]["retries"] >= 1

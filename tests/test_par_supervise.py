@@ -12,6 +12,12 @@ from repro.par import ShardError, backoff_delay, run_supervised
 from repro.serve.journal import Journal
 
 
+@pytest.fixture(autouse=True)
+def fast_backoff(monkeypatch):
+    # retries back off 10 ms here, not the production 50 ms base
+    monkeypatch.setattr("repro.par.supervise.BACKOFF_BASE_S", 0.01)
+
+
 # ----------------------------------------------------------------------
 # module-level tasks (must be picklable / importable in workers)
 # ----------------------------------------------------------------------
@@ -62,6 +68,11 @@ def _hang_always(values):
     return list(values)
 
 
+def _slow(values):
+    time.sleep(1.5)
+    return values
+
+
 # ----------------------------------------------------------------------
 # backoff
 # ----------------------------------------------------------------------
@@ -104,7 +115,7 @@ class TestRunSupervised:
     def test_poison_shard_quarantined_others_complete(self):
         args = [([1],), (["bad"],), ([3],)]
         results, stats = run_supervised(
-            _poison, args, jobs=2, max_attempts=2, backoff_base_s=0.01)
+            _poison, args, jobs=2, max_attempts=2)
         assert results[0] == [1] and results[2] == [9]
         error = results[1]
         assert isinstance(error, ShardError)
@@ -115,8 +126,7 @@ class TestRunSupervised:
 
     def test_poison_quarantined_inline_too(self):
         results, stats = run_supervised(
-            _poison, [(["bad"],), ([2],)], jobs=1, max_attempts=3,
-            backoff_base_s=0.001)
+            _poison, [(["bad"],), ([2],)], jobs=1, max_attempts=3)
         assert isinstance(results[0], ShardError)
         assert results[0].attempts == 3
         assert results[1] == [4]
@@ -126,8 +136,7 @@ class TestRunSupervised:
         marker = str(tmp_path / "die.marker")
         args = [([1, "die"], marker), ([2], marker)]
         results, stats = run_supervised(
-            _crash_once, args, jobs=2, max_attempts=3,
-            backoff_base_s=0.01)
+            _crash_once, args, jobs=2, max_attempts=3)
         assert results == [[1], [4]]  # the retry succeeded
         assert stats.retries == 1
         assert not stats.quarantined
@@ -138,7 +147,7 @@ class TestRunSupervised:
         start = time.perf_counter()
         results, stats = run_supervised(
             _hang_once, args, jobs=2, shard_deadline_s=0.6,
-            max_attempts=3, backoff_base_s=0.01)
+            max_attempts=3)
         wall = time.perf_counter() - start
         assert results == [[4], [9]]
         assert stats.killed_workers >= 1
@@ -148,12 +157,26 @@ class TestRunSupervised:
     def test_always_hanging_shard_quarantined_as_deadline(self):
         results, stats = run_supervised(
             _hang_always, [(["hang"],), ([5],)], jobs=2,
-            shard_deadline_s=0.4, max_attempts=2, backoff_base_s=0.01)
+            shard_deadline_s=0.4, max_attempts=2)
         error = results[0]
         assert isinstance(error, ShardError)
         assert error.kind == "deadline"
         assert results[1] == [5]
         assert stats.killed_workers >= 2  # both attempts reaped
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_timeout_marks_uncollected_shards(self, jobs):
+        results, stats = run_supervised(
+            _slow, [([1],), ([2],)], jobs=jobs, timeout_s=0.3)
+        if jobs == 1:
+            # inline: the running shard finishes, the next is abandoned
+            assert stats.timed_out == [1]
+            assert results == [[1], None]
+        else:
+            # pool: both in-flight workers are killed at the deadline
+            assert stats.timed_out == [0, 1]
+            assert results == [None, None]
+            assert stats.killed_workers >= 1
 
     def test_pool_infrastructure_failure_degrades_inline(
             self, monkeypatch):
@@ -175,8 +198,7 @@ class TestRunSupervised:
             args = [([seed, "die"], str(tmp_path / f"m{seed}")),
                     ([seed + 1], str(tmp_path / f"m{seed}"))]
             chaotic, chaotic_stats = run_supervised(
-                _crash_once, args, jobs=2, max_attempts=3,
-                backoff_base_s=0.01, seed=seed)
+                _crash_once, args, jobs=2, max_attempts=3, seed=seed)
             clean_args = [([seed, "die"], str(tmp_path / f"claimed{seed}")),
                           ([seed + 1], str(tmp_path / f"claimed{seed}"))]
             # pre-claim the marker so the clean run never crashes
@@ -251,6 +273,30 @@ class TestJournalResume:
         # no completed shard was recomputed after the resume
         with open(count_path) as handle:
             assert len(handle.readlines()) == 5
+
+    def test_on_result_exception_propagates_from_pool(self, tmp_path):
+        # a raising on_result is the caller's error, not a pool failure:
+        # it must propagate once, without an inline re-run of the shards
+        journal_path = str(tmp_path / "wal.jsonl")
+
+        class Killed(Exception):
+            pass
+
+        calls = []
+
+        def die(index, value):
+            calls.append(index)
+            raise Killed()
+
+        with Journal(journal_path) as journal:
+            with pytest.raises(Killed):
+                run_supervised(_square, [([1],), ([2],)], jobs=2,
+                               journal=journal, journal_fingerprint=self.FP,
+                               on_result=die)
+        assert len(calls) == 1
+        with Journal(journal_path) as journal:
+            records = list(journal.replay())
+        assert [r["type"] for r in records] == ["header", "shard"]
 
     def test_foreign_journal_is_ignored_with_warning(self, tmp_path):
         journal_path = str(tmp_path / "wal.jsonl")

@@ -38,12 +38,11 @@ class TestBuildJob:
 
 class TestFingerprints:
     def test_execution_knobs_do_not_change_identity(self):
-        # same work at different parallelism/chaos must share one
+        # same work at different parallelism must share one
         # computation and one store entry
         a = CampaignJob({"banks": 1, "seed": 7})
         b = CampaignJob({"banks": 1, "seed": 7, "jobs": 8, "lanes": 4,
-                         "shard_attempts": 5, "shard_deadline_s": 1.0,
-                         "chaos_kill_marker": "/tmp/x"})
+                         "shard_attempts": 5, "shard_deadline_s": 1.0})
         assert a.key() == b.key()
 
     def test_semantic_fields_change_identity(self):
@@ -61,6 +60,15 @@ class TestFingerprints:
             FlowJob({"banks": 1}).key(),
         }
         assert len(keys) == 4
+
+    def test_la1_flow_engine_keyed_only_off_default(self):
+        # BDD is the LA-1 default: its fingerprint (and store key) is
+        # the one submissions had before the engine was a field
+        assert "mc_engine" not in FlowJob({"banks": 1}).fingerprint()
+        assert (FlowJob({"banks": 1, "mc_engine": "bdd"}).key()
+                == FlowJob({"banks": 1}).key())
+        assert (FlowJob({"banks": 1, "mc_engine": "sat"}).key()
+                != FlowJob({"banks": 1}).key())
 
     def test_spool_paths_are_per_key(self, tmp_path):
         a = CampaignJob({"banks": 1, "seed": 1})
@@ -85,6 +93,28 @@ class TestRun:
         spooled = {name.split(".", 1)[1]
                    for name in os.listdir(str(tmp_path))}
         assert "ckpt.json" in spooled
+
+    def test_spec_chaos_fields_are_inert(self, tmp_path):
+        # fault injection is an in-process test hook, never a job-spec
+        # field: a client naming a marker path must not get a file
+        # created on the server or a worker killed
+        kill, hang = tmp_path / "kill", tmp_path / "hang"
+        job = CampaignJob({"banks": 1, "traffic": 6, "rtl_cycles": 100,
+                           "max_faults": 4, "jobs": 2,
+                           "chaos_kill_marker": str(kill),
+                           "chaos_hang_marker": str(hang)})
+        report = job.run(lambda event: None)
+        assert not kill.exists() and not hang.exists()
+        assert report["engine_stats"]["par"]["retries"] == 0
+
+    def test_la1_flow_job_honours_mc_engine(self):
+        job = FlowJob({"banks": 1, "traffic": 6, "coverage": False,
+                       "mc_engine": "sat"})
+        result = job.run(lambda event: None)
+        stage = next(s for s in result["stages"]
+                     if s["name"] == "rtl_model_checking")
+        assert stage["ok"]
+        assert "clauses, k=" in stage["detail"]
 
     def test_cover_job_emits_rounds(self):
         job = CoverJob({"banks": 1, "mode": "undirected", "max_tests": 3,
