@@ -23,6 +23,7 @@ from .conformance import (
     ConformanceResult,
     Divergence,
     Implementation,
+    ReplayImplementation,
     check_conformance,
 )
 
@@ -47,6 +48,7 @@ __all__ = [
     "Labeling",
     "ModelCheckResult",
     "Implementation",
+    "ReplayImplementation",
     "Divergence",
     "ConformanceResult",
     "check_conformance",

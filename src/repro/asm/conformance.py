@@ -8,29 +8,42 @@ inputs, both models behave the same" (paper, Section 5.1).
 :func:`check_conformance` drives the ASM machine and an implementation
 through the same breadth-first action tree up to a depth bound, comparing
 observable projections after every step.  Implementations plug in through
-the tiny :class:`Implementation` protocol (factory-reset + apply-action +
-observe), which :mod:`repro.core.conformance` adapts the SystemC-level
-LA-1 model to.
+the :class:`Implementation` protocol (reset, apply, observe, snapshot,
+restore): every BFS node keeps the implementation's snapshot next to the
+model's, so each tree edge costs one restore plus one applied action.
+Implementations that cannot rewind derive from
+:class:`ReplayImplementation`, whose snapshot is the action trail and
+whose restore replays it from reset.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .machine import Action, AsmMachine
 
-__all__ = ["Implementation", "Divergence", "ConformanceResult", "check_conformance"]
+__all__ = ["Implementation", "ReplayImplementation", "Divergence",
+           "ConformanceResult", "check_conformance"]
 
 
 class Implementation:
     """Protocol for the program under test.
 
-    Subclasses provide a fresh restartable system: :meth:`reset` restores
-    the initial condition, :meth:`apply` performs the action named by an
-    ASM rule with its arguments, and :meth:`observe` returns the
-    observable state as a dictionary comparable with the model's.
+    * :meth:`reset` restores the initial condition;
+    * :meth:`apply` performs the action named by an ASM rule with its
+      arguments;
+    * :meth:`observe` returns the observable state as a dictionary
+      comparable with the model's projection;
+    * :meth:`snapshot` captures the complete current state as an opaque
+      value and :meth:`restore` returns to it, so that after
+      ``restore(s)`` the implementation behaves under every later
+      ``apply`` exactly as it did when ``s`` was taken.
+
+    :func:`check_conformance` takes snapshots and restores only between
+    actions, when the implementation is quiescent: every effect of the
+    last :meth:`apply` has settled and nothing is left scheduled.
     """
 
     def reset(self) -> None:
@@ -44,6 +57,60 @@ class Implementation:
     def observe(self) -> dict:
         """The observable state after the last action."""
         raise NotImplementedError
+
+    def snapshot(self) -> Any:
+        """An opaque value capturing the current state."""
+        raise NotImplementedError(
+            f"{type(self).__name__} cannot snapshot; derive it from "
+            f"ReplayImplementation to rewind by replay")
+
+    def restore(self, snapshot: Any) -> None:
+        """Return to the state captured by :meth:`snapshot`."""
+        raise NotImplementedError(
+            f"{type(self).__name__} cannot restore; derive it from "
+            f"ReplayImplementation to rewind by replay")
+
+
+class ReplayImplementation(Implementation):
+    """Rewinding by replay, for implementations that cannot restore.
+
+    The snapshot is the trail of ``(rule_name, args)`` actions applied
+    since the last reset; :meth:`restore` resets and re-applies that
+    trail.  Use it two ways: wrap any implementation
+    (``ReplayImplementation(impl)``, a from-reset reference run), or
+    subclass it and override :meth:`_reset`, :meth:`_apply` and
+    :meth:`observe`.
+    """
+
+    def __init__(self, inner: Optional[Implementation] = None):
+        self.inner = inner
+        self._trail: tuple = ()
+
+    def _reset(self) -> None:
+        self.inner.reset()
+
+    def _apply(self, rule_name: str, args: dict) -> None:
+        self.inner.apply(rule_name, args)
+
+    def observe(self) -> dict:
+        return self.inner.observe()
+
+    def reset(self) -> None:
+        self._reset()
+        self._trail = ()
+
+    def apply(self, rule_name: str, args: dict) -> None:
+        self._apply(rule_name, args)
+        self._trail += ((rule_name, args),)
+
+    def snapshot(self) -> tuple:
+        return self._trail
+
+    def restore(self, snapshot: tuple) -> None:
+        self._reset()
+        for rule_name, args in snapshot:
+            self._apply(rule_name, args)
+        self._trail = snapshot
 
 
 class Divergence:
@@ -62,7 +129,12 @@ class Divergence:
 
 
 class ConformanceResult:
-    """Outcome of a conformance run."""
+    """Outcome of a conformance run.
+
+    ``paths_checked`` counts the compared tree edges (each is one path
+    from reset); ``steps_executed`` is the summed length of those paths,
+    i.e. the actions a from-reset replay of every path would apply.
+    """
 
     def __init__(
         self,
@@ -96,100 +168,75 @@ def check_conformance(
 ) -> ConformanceResult:
     """Co-execute model and implementation over all action sequences.
 
-    The model's observable projection is the listed state variables; the
-    implementation's :meth:`~Implementation.observe` must return a
-    dictionary with the same keys.  The first mismatch stops the run and
-    is reported with the action path that exposes it -- the paper notes
-    this phase "is sometimes time consuming, however, it is quite
+    The tree of action sequences up to ``max_depth`` is walked breadth
+    first.  Each node holds the model snapshot, the implementation
+    snapshot and its action path; a child edge restores the parent's
+    implementation snapshot, applies exactly one action and compares
+    :meth:`~Implementation.observe` against the model's projection onto
+    ``observables`` (the dictionaries must be equal).  Only nodes above
+    the depth bound keep snapshots.  Snapshots are taken and restored
+    between actions, so an implementation must be quiescent there.
+
+    The walk stops after ``max_paths`` edges or at the first mismatch,
+    which is reported with the action path that exposes it -- the paper
+    notes this phase "is sometimes time consuming, however, it is quite
     important to make sure the ASM to SystemC mapping preserves the
-    system's properties".
+    system's properties".  ``steps_executed`` of the result is the summed
+    length of the checked paths.
     """
     start = time.perf_counter()
     machine.reset()
+    implementation.reset()
 
     def model_obs(snapshot: tuple) -> dict:
         state = dict(snapshot)
         return {name: state[name] for name in observables}
 
-    # each queue entry: (model snapshot, action-label path)
-    initial = machine.snapshot()
-    queue: deque = deque([(initial, [])])
-    paths_checked = 0
-    steps_executed = 0
+    def divergent(paths: int, steps: int, divergence: Divergence):
+        machine.reset()
+        return ConformanceResult(False, paths, steps,
+                                 time.perf_counter() - start, divergence)
 
-    # compare initial observation
-    implementation.reset()
+    initial = machine.snapshot()
     first_impl = implementation.observe()
     first_model = model_obs(initial)
     if first_impl != first_model:
-        elapsed = time.perf_counter() - start
-        return ConformanceResult(
-            False, 1, 0, elapsed, Divergence([], first_model, first_impl)
-        )
+        return divergent(1, 0, Divergence([], first_model, first_impl))
 
-    while queue:
-        snapshot, path = queue.popleft()
-        if len(path) >= max_depth:
-            continue
+    # each node: (model snapshot, implementation snapshot, action path)
+    queue: deque = deque()
+    if max_depth > 0:
+        queue.append((initial, implementation.snapshot(), ()))
+    paths_checked = 0
+    steps_executed = 0
+    while queue and paths_checked < max_paths:
+        snapshot, impl_snapshot, path = queue.popleft()
         machine.restore(snapshot)
         actions = machine.enabled_actions()
         if action_filter is not None:
             actions = [a for a in actions if action_filter(a)]
+        expand = len(path) + 1 < max_depth
         for action in actions:
             if paths_checked >= max_paths:
                 break
             machine.restore(snapshot)
             machine.fire(action)
             succ = machine.snapshot()
-            new_path = path + [action.label]
+            implementation.restore(impl_snapshot)
+            implementation.apply(action.rule.name, action.args)
+            new_path = path + (action,)
             paths_checked += 1
-            # replay the full path on a fresh implementation
-            implementation.reset()
-            machine.restore(snapshot)
-            for replay_action, replay_args in _decode_path(machine, new_path):
-                implementation.apply(replay_action, replay_args)
-                steps_executed += 1
+            steps_executed += len(new_path)
             impl_observation = implementation.observe()
             model_observation = model_obs(succ)
             if impl_observation != model_observation:
-                elapsed = time.perf_counter() - start
-                machine.reset()
-                return ConformanceResult(
-                    False,
-                    paths_checked,
-                    steps_executed,
-                    elapsed,
-                    Divergence(new_path, model_observation, impl_observation),
-                )
-            queue.append((succ, new_path))
+                return divergent(
+                    paths_checked, steps_executed,
+                    Divergence([a.label for a in new_path],
+                               model_observation, impl_observation))
+            if expand:
+                queue.append((succ, implementation.snapshot(), new_path))
 
     machine.reset()
     elapsed = time.perf_counter() - start
     return ConformanceResult(True, paths_checked, steps_executed, elapsed)
-
-
-def _decode_path(machine: AsmMachine, labels: list[str]):
-    """Decode action labels back into (rule_name, args) pairs.
-
-    Labels have the shape ``rule`` or ``rule(k=v, ...)`` as produced by
-    :attr:`repro.asm.machine.Action.label`; argument values are parsed
-    with ``eval`` over a bare namespace (they are ints/bools/strs
-    produced by repr-compatible domains).
-    """
-    decoded = []
-    for label in labels:
-        if "(" not in label:
-            decoded.append((label, {}))
-            continue
-        name, __, rest = label.partition("(")
-        rest = rest.rstrip(")")
-        args = {}
-        if rest:
-            for pair in rest.split(", "):
-                key, __, value = pair.partition("=")
-                try:
-                    args[key] = eval(value, {"__builtins__": {}}, {})
-                except Exception:
-                    args[key] = value
-        decoded.append((name, args))
-    return decoded

@@ -172,7 +172,7 @@ class Explorer:
                     succ_id = fsm.add_state(succ_snapshot)
                     index[succ_key] = succ_id
                     queue.append((succ_snapshot, succ_id, depth + 1))
-                fsm.add_transition(state_id, action.label, succ_id)
+                fsm.add_transition(state_id, action.label, succ_id, action)
                 num_transitions += 1
         machine.reset()
         fsm.complete = not truncated

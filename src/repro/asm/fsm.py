@@ -10,20 +10,30 @@ would result if the model program could be explored completely";
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from .machine import Action
 
 __all__ = ["Fsm", "Transition"]
 
 
 class Transition:
-    """One explored transition: source state, action label, target state."""
+    """One explored transition: source state, action label, target state.
 
-    __slots__ = ("src", "label", "dst")
+    ``action`` is the fired :class:`~repro.asm.machine.Action` when the
+    explorer recorded it, so replays fire it directly instead of parsing
+    the label.  It takes no part in equality or hashing.
+    """
 
-    def __init__(self, src: int, label: str, dst: int):
+    __slots__ = ("src", "label", "dst", "action")
+
+    def __init__(self, src: int, label: str, dst: int,
+                 action: Optional["Action"] = None):
         self.src = src
         self.label = label
         self.dst = dst
+        self.action = action
 
     def __eq__(self, other):
         return (
@@ -53,9 +63,10 @@ class Fsm:
         self.states.append(snapshot)
         return len(self.states) - 1
 
-    def add_transition(self, src: int, label: str, dst: int) -> None:
-        """Record a transition."""
-        self.transitions.append(Transition(src, label, dst))
+    def add_transition(self, src: int, label: str, dst: int,
+                       action: Optional["Action"] = None) -> None:
+        """Record a transition (with the fired action, when known)."""
+        self.transitions.append(Transition(src, label, dst, action))
 
     @property
     def num_nodes(self) -> int:

@@ -28,14 +28,14 @@ from typing import Optional, Sequence
 
 from .conformance import Divergence, Implementation
 from .fsm import Fsm, Transition
-from .machine import Action, AsmMachine
+from .machine import Action, AsmError, AsmMachine
 
 __all__ = ["TestSuite", "ReplayReport", "generate_transition_cover",
            "generate_random_walks", "replay_suite"]
 
 
 class TestSuite:
-    """A set of from-reset action-label sequences with coverage data."""
+    """A set of from-reset transition sequences with coverage data."""
 
     def __init__(self, cases: list[list[Transition]], fsm: Fsm):
         self.cases = cases
@@ -184,20 +184,25 @@ def replay_suite(
     observables: Sequence[str],
 ) -> ReplayReport:
     """Run every case of ``suite`` on model and implementation in
-    lockstep, comparing the observable projection after each step."""
-    from .conformance import _decode_path
+    lockstep, comparing the observable projection after each step.
 
+    Each step fires the :class:`~repro.asm.machine.Action` the explorer
+    recorded on the transition, so arguments reach the implementation
+    exactly as the model saw them."""
     start = time.perf_counter()
     steps_run = 0
-    for case_index, labels in enumerate(suite.labels()):
+    for case_index, case in enumerate(suite.cases):
         machine.reset()
         implementation.reset()
         executed: list[str] = []
-        for label in labels:
-            (rule_name, args), = _decode_path(machine, [label])
-            machine.fire_named(rule_name, **args)
-            implementation.apply(rule_name, args)
-            executed.append(label)
+        for transition in case:
+            action = transition.action
+            if action is None:
+                raise AsmError(
+                    f"transition {transition!r} records no action to replay")
+            machine.fire(action)
+            implementation.apply(action.rule.name, action.args)
+            executed.append(transition.label)
             steps_run += 1
             model_obs = {
                 name: machine.state[name] for name in observables

@@ -25,7 +25,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..asm.conformance import ConformanceResult, Implementation, check_conformance
+from ..asm.conformance import (
+    ConformanceResult,
+    ReplayImplementation,
+    check_conformance,
+)
 from .asm_model import La1AsmConfig, build_la1_asm
 from .spec import La1Config
 from .sysc_model import La1Device, build_la1_system
@@ -41,10 +45,15 @@ def observables_for(banks: int) -> list[str]:
     return names
 
 
-class La1SyscImplementation(Implementation):
-    """The SystemC-level LA-1 system as a conformance test subject."""
+class La1SyscImplementation(ReplayImplementation):
+    """The SystemC-level LA-1 system as a conformance test subject.
+
+    Its clock threads keep timed events pending, so the kernel cannot
+    rewind: snapshots are action trails, restored by reset and replay.
+    """
 
     def __init__(self, asm_config: La1AsmConfig):
+        super().__init__()
         self.asm_config = asm_config
         banks = asm_config.banks
         # concrete scale chosen so abstract values embed directly: one
@@ -63,7 +72,7 @@ class La1SyscImplementation(Implementation):
         self.reset()
 
     # ------------------------------------------------------------------
-    def reset(self) -> None:
+    def _reset(self) -> None:
         sim, clocks, device, __ = build_la1_system(self.la1_config)
         self._sim = sim
         self._device = device
@@ -77,7 +86,7 @@ class La1SyscImplementation(Implementation):
     def _addr_index(self, addr_value) -> int:
         return self.asm_config.addr_values.index(addr_value)
 
-    def apply(self, rule_name: str, args: dict) -> None:
+    def _apply(self, rule_name: str, args: dict) -> None:
         device = self._device
         sim = self._sim
         if rule_name == "EdgeK":

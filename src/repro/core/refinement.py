@@ -60,6 +60,13 @@ class La1RtlImplementation(Implementation):
         self.sim.reset()
         self._phase = 0
 
+    def snapshot(self) -> tuple:
+        return self.sim.snapshot(), self._phase
+
+    def restore(self, snapshot: tuple) -> None:
+        sim_state, self._phase = snapshot
+        self.sim.restore(sim_state)
+
     def _addr_index(self, value) -> int:
         return self.asm_config.addr_values.index(value)
 

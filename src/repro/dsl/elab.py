@@ -643,7 +643,8 @@ class DslSyscTop(SyscModule):
 
 class RtlDslImplementation:
     """Adapts the flattened-RTL simulation of an elaborated design to
-    the ``repro.asm.conformance`` Implementation protocol."""
+    the ``repro.asm.conformance`` Implementation protocol; snapshots
+    are the simulator's own."""
 
     def __init__(self, elab: ElaboratedDesign, backend: str = "interp"):
         self.elab = elab
@@ -652,6 +653,12 @@ class RtlDslImplementation:
 
     def reset(self) -> None:
         self.sim.reset()
+
+    def snapshot(self) -> tuple:
+        return self.sim.snapshot()
+
+    def restore(self, snapshot: tuple) -> None:
+        self.sim.restore(snapshot)
 
     def apply(self, rule_name: str, args: dict) -> None:
         if rule_name != "step":
@@ -674,16 +681,38 @@ class RtlDslImplementation:
 
 
 class SyscDslImplementation:
-    """Adapts the SystemC lowering to the conformance protocol; every
-    ``reset`` builds a fresh simulator (SystemC kernels do not rewind)."""
+    """Adapts the SystemC lowering to the conformance protocol.
+
+    The kernel is built once.  Between ticks it is quiescent (the
+    lowering has no timed events), so a snapshot is just the committed
+    values of ``clk``, the inputs, the state and array signals, plus
+    the monitor failures; :meth:`restore` writes them back in place and
+    :meth:`reset` restores the post-initialization snapshot."""
 
     def __init__(self, elab: ElaboratedDesign):
         self.elab = elab
-        self.reset()
+        self.sim, self.top = elab.build_sysc()
+        self.sim.initialize()
+        top = self.top
+        self._signals = ([top.clk] + list(top.in_sigs.values())
+                         + list(top.state_sigs.values())
+                         + list(top.array_sigs.values()))
+        self._initial = self.snapshot()
 
     def reset(self) -> None:
-        self.sim, self.top = self.elab.build_sysc()
-        self.sim.initialize()
+        self.restore(self._initial)
+
+    def snapshot(self) -> tuple:
+        return (tuple(signal.read() for signal in self._signals),
+                tuple(self.top.failures))
+
+    def restore(self, snapshot: tuple) -> None:
+        assert not self.sim.pending_activity(), (
+            "the SystemC kernel must be quiescent to restore a snapshot")
+        values, failures = snapshot
+        for signal, value in zip(self._signals, values):
+            signal.write_now(value)
+        self.top.failures[:] = failures
 
     def apply(self, rule_name: str, args: dict) -> None:
         if rule_name != "step":

@@ -212,6 +212,34 @@ class RtlSimulator:
         self._inputs_dirty = False
         self._settle()
 
+    def snapshot(self) -> tuple:
+        """Capture the simulation state for :meth:`restore`.
+
+        The snapshot holds the slot array, the edge count, the monitor
+        records, whether a driven input is still unsettled and, on the
+        bitpar backend, the guard context and the lane fire words.
+        Edge hooks, coverage collectors and the cumulative stats
+        counters are not state and are left alone, as by :meth:`reset`.
+        """
+        state = (tuple(self._v), self.edge_count, tuple(self.failures),
+                 tuple(self.firings), self._inputs_dirty)
+        if self._bitpar is not None:
+            state += (tuple(self._ctx), dict(self._lane_fire_words))
+        return state
+
+    def restore(self, snapshot: tuple) -> None:
+        """Return to a state captured by :meth:`snapshot`."""
+        values, self.edge_count, failures, firings, self._inputs_dirty = (
+            snapshot[:5])
+        # written in place: the ``values`` view wraps this very list
+        self._v[:] = values
+        self.failures = list(failures)
+        self.firings = list(firings)
+        if self._bitpar is not None:
+            ctx, lane_fire_words = snapshot[5:]
+            self._ctx[:] = ctx
+            self._lane_fire_words = dict(lane_fire_words)
+
     def _broadcast(self, flat: FlatNet, value: int) -> bool:
         """Drive ``value`` into every lane of a bit-sliced net; True when
         any lane word changed."""

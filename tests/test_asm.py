@@ -276,6 +276,12 @@ class _MirrorImpl(Implementation):
     def reset(self):
         self.n = 0
 
+    def snapshot(self):
+        return self.n
+
+    def restore(self, snapshot):
+        self.n = snapshot
+
     def apply(self, rule_name, args):
         if rule_name == "inc":
             self.n += 1
@@ -326,6 +332,12 @@ class TestConformance:
 
             def reset(self):
                 self.x = 0
+
+            def snapshot(self):
+                return self.x
+
+            def restore(self, snapshot):
+                self.x = snapshot
 
             def apply(self, rule_name, args):
                 self.x = args["v"]
