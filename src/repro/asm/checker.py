@@ -172,24 +172,37 @@ class AsmModelChecker:
         config = self.config
         machine.reset()
 
-        def observe(snapshot: tuple) -> tuple:
-            state = dict(snapshot)
-            return tuple(
-                chk.transition(0, chk.valuation_key(
-                    self.labeling.valuation(state, chk.atoms)))
-                for chk in checkers
-            )
+        # The product step is a pure function of (checker states, atom
+        # values), so each distinct snapshot is labeled once over the union
+        # of all checkers' atoms, and each (checker states, valuation) pair
+        # is stepped once; both memos live only for this call.
+        atoms = sorted(set().union(*(chk.atoms for chk in checkers)))
+        position = {atom: i for i, atom in enumerate(atoms)}
+        projections = [tuple(position[a] for a in chk.atoms)
+                       for chk in checkers]
+        label = self.labeling.valuation
+        valuations: dict = {}
+        steps: dict = {}
 
         def advance(chk_states: tuple, snapshot: tuple) -> tuple:
-            state = dict(snapshot)
-            return tuple(
-                chk.transition(cs, chk.valuation_key(
-                    self.labeling.valuation(state, chk.atoms)))
-                for chk, cs in zip(checkers, chk_states)
-            )
+            values = valuations.get(snapshot)
+            if values is None:
+                valuation = label(dict(snapshot), atoms)
+                values = tuple(valuation[a] for a in atoms)
+                valuations[snapshot] = values
+            step_key = (chk_states, values)
+            succ = steps.get(step_key)
+            if succ is None:
+                succ = tuple(
+                    chk.transition(cs, tuple(values[i] for i in proj))
+                    for chk, proj, cs in zip(checkers, projections,
+                                             chk_states)
+                )
+                steps[step_key] = succ
+            return succ
 
         initial_snapshot = machine.snapshot()
-        initial_chk = observe(initial_snapshot)
+        initial_chk = advance((0,) * len(checkers), initial_snapshot)
         fail = CheckerAutomaton.FAIL_STATE
 
         def assumption_violated(chk_states: tuple) -> bool:

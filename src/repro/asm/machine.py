@@ -55,9 +55,6 @@ class Rule:
         self.guard = guard
         self.effect = effect
         self.domains: dict[str, Domain] = dict(domains or {})
-
-    def argument_combinations(self) -> list[dict]:
-        """All argument dictionaries drawn from this rule's domains."""
         combos: list[dict] = [{}]
         for param, domain in self.domains.items():
             combos = [
@@ -65,7 +62,16 @@ class Rule:
                 for combo in combos
                 for value in domain.values()
             ]
-        return combos
+        self._combinations = tuple(combos)
+
+    def argument_combinations(self) -> tuple[dict, ...]:
+        """All argument dictionaries drawn from this rule's domains.
+
+        Computed once at construction: the domains are fixed, and every
+        :class:`Action` built from an entry shares its dict, so callers
+        must not mutate them.
+        """
+        return self._combinations
 
     def __repr__(self):
         params = ", ".join(self.domains)

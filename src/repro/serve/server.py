@@ -40,6 +40,7 @@ import asyncio
 import itertools
 import json
 import os
+import sys
 import threading
 import time
 import traceback
@@ -53,6 +54,24 @@ __all__ = ["JobRecord", "VerificationServer", "serve_in_thread"]
 
 #: terminal job states (event streams end when these are reached)
 _TERMINAL = ("done", "cached", "error")
+
+#: largest request body accepted (job specs are well under 1 KB)
+MAX_BODY_BYTES = 1 << 20
+
+#: after refusing a request the server half-closes and discards at most
+#: this much further input, for at most this long, so a client still
+#: uploading its body reads the error status rather than a connection
+#: reset; a client that uploads beyond either bound may still be reset
+_DISCARD_BYTES = 4 * MAX_BODY_BYTES
+_DISCARD_S = 2.0
+
+
+class _RequestRejected(Exception):
+    """A request refused before routing, with its HTTP status."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
 
 
 class JobRecord:
@@ -200,17 +219,24 @@ class VerificationServer:
     # -- HTTP plumbing -------------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except _RequestRejected as exc:
+                await self._respond(writer, exc.status, {"error": str(exc)})
+                await self._discard_input(reader, writer)
+                return
             if request is None:
                 return
             method, path, body = request
             await self._route(writer, method, path, body)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away: its problem, not the service's
-        except Exception:  # noqa: BLE001 - the server must not die
+        except Exception as exc:  # noqa: BLE001 - the server must not die
+            # the traceback goes to the operator, not to the client
+            traceback.print_exc(file=sys.stderr)
             try:
                 await self._respond(writer, 500, {
-                    "error": traceback.format_exc(limit=3)})
+                    "error": f"{type(exc).__name__}: {exc}"})
             except Exception:
                 pass
         finally:
@@ -240,16 +266,42 @@ class VerificationServer:
                     content_length = int(value.strip())
                 except ValueError:
                     content_length = 0
+        if content_length < 0:
+            raise _RequestRejected(
+                400, f"negative Content-Length {content_length}")
+        if content_length > MAX_BODY_BYTES:
+            raise _RequestRejected(
+                413, f"body of {content_length} bytes exceeds "
+                f"{MAX_BODY_BYTES}")
         body = b""
         if content_length:
             body = await reader.readexactly(content_length)
         return method, path, body
 
     @staticmethod
+    async def _discard_input(reader, writer) -> None:
+        """Half-close, then read and drop the unread rest of a request."""
+        if writer.can_write_eof():
+            writer.write_eof()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + _DISCARD_S
+        remaining = _DISCARD_BYTES
+        while remaining > 0 and loop.time() < deadline:
+            try:
+                chunk = await asyncio.wait_for(
+                    reader.read(min(remaining, 1 << 16)),
+                    deadline - loop.time())
+            except asyncio.TimeoutError:
+                return
+            if not chunk:
+                return
+            remaining -= len(chunk)
+
+    @staticmethod
     async def _respond(writer, status: int, payload: dict) -> None:
         body = json.dumps(payload, sort_keys=True).encode()
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed",
+                  405: "Method Not Allowed", 413: "Payload Too Large",
                   500: "Internal Server Error"}.get(status, "OK")
         writer.write(
             f"HTTP/1.1 {status} {reason}\r\n"

@@ -139,14 +139,20 @@ class TestAsmModelBehaviour:
         assert m.state["phase"] == 1
 
 
+#: Table 1 rows (EXPERIMENTS.md): FSM nodes and transitions of the
+#: combined-suite product per bank count
+TABLE1 = {1: (64, 94), 2: (368, 584), 3: (1456, 2392), 4: (4832, 8096)}
+
+
 class TestAsmModelChecking:
-    @pytest.mark.parametrize("banks", [1, 2, 3])
+    @pytest.mark.parametrize("banks", [1, 2, 3, 4])
     def test_suite_holds(self, banks):
         machine = build_la1_asm(La1AsmConfig(banks=banks))
         suite = device_property_suite(banks)
         checker = AsmModelChecker(machine, asm_labeling(banks))
         result = checker.check_combined([p for __, p in suite])
         assert result.holds is True
+        assert (result.num_nodes, result.num_transitions) == TABLE1[banks]
 
     def test_suite_holds_with_init_exploration(self):
         machine = build_la1_asm(La1AsmConfig(banks=1, explore_init=True))

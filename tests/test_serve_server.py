@@ -2,13 +2,18 @@
 a real event stream -- plus the server's own crash recovery."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.serve.journal import Journal
-from repro.serve.server import VerificationServer, serve_in_thread
+from repro.serve.server import (
+    MAX_BODY_BYTES,
+    VerificationServer,
+    serve_in_thread,
+)
 
 CAMPAIGN = {"banks": 1, "traffic": 6, "rtl_cycles": 100, "max_faults": 4}
 
@@ -111,6 +116,69 @@ class TestHTTP:
         assert record["status"] == "error"
         assert "banks must be >= 1" in record["error"]
         assert _http("GET", f"{base}/healthz")["ok"] is True
+
+
+def _raw(port, request: bytes):
+    """Send raw request bytes; return (status, decoded JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body.decode())
+
+
+class TestHostileClients:
+    def test_negative_content_length_is_400(self, server):
+        srv, __, ___ = server
+        status, body = _raw(srv.port, b"POST /jobs HTTP/1.1\r\n"
+                            b"Content-Length: -5\r\n\r\n{}")
+        assert status == 400
+        assert "negative Content-Length" in body["error"]
+
+    def test_oversized_body_is_413_before_reading_it(self, server):
+        srv, __, ___ = server
+        status, body = _raw(
+            srv.port, b"POST /jobs HTTP/1.1\r\n"
+            b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+
+    def test_client_still_uploading_reads_413_not_reset(self, server):
+        # the client sends part of an oversized body and reads the reply
+        # without half-closing first; had the server closed with that body
+        # unread, the kernel would answer with a reset that usually beats
+        # the 413 to the client, so a few rounds make the race show
+        srv, __, ___ = server
+        for _ in range(3):
+            with socket.create_connection(("127.0.0.1", srv.port),
+                                          timeout=30) as sock:
+                sock.sendall(b"POST /jobs HTTP/1.1\r\n"
+                             b"Content-Length: %d\r\n\r\n"
+                             % (2 * MAX_BODY_BYTES))
+                sock.sendall(b"x" * (256 * 1024))
+                data = b""
+                while chunk := sock.recv(65536):
+                    data += chunk
+            assert data.startswith(b"HTTP/1.1 413 Payload Too Large\r\n")
+
+    def test_internal_error_is_500_without_traceback(self, server,
+                                                     monkeypatch, capsys):
+        srv, __, ___ = server
+
+        def boom(kind, spec):
+            raise RuntimeError("adapter exploded")
+
+        monkeypatch.setattr(srv, "submit", boom)
+        payload = b'{"kind": "campaign", "spec": {}}'
+        status, body = _raw(
+            srv.port, b"POST /jobs HTTP/1.1\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(payload), payload))
+        assert status == 500
+        assert body == {"error": "RuntimeError: adapter exploded"}
+        assert "Traceback" in capsys.readouterr().err
 
 
 class TestRecovery:
