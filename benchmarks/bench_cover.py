@@ -29,8 +29,8 @@ from repro.core import (
     build_la1_system,
     build_la1_top_with_ovl,
 )
+from repro.core.traffic import queue_traffic
 from repro.cover import La1FunctionalCoverage, ToggleCollector
-from repro.cover.la1 import random_traffic
 from repro.rtl import RtlSimulator, elaborate
 
 BANKS = [1, 2, 4]
@@ -55,7 +55,7 @@ def _run_rtl(banks: int, toggles: bool, backend: str = "compiled"):
     sim = _rtl_sim(banks, backend)
     host = RtlHost(sim, config)
     collector = ToggleCollector(sim) if toggles else None
-    random_traffic(host, config, TRAFFIC, seed=2004)
+    queue_traffic(host, config, TRAFFIC, seed=2004)
     start = time.perf_counter()
     host.run_cycles(CYCLES)
     elapsed = time.perf_counter() - start
@@ -111,7 +111,7 @@ def _sysc_functional(banks: int):
     sim, clocks, device, host = build_la1_system(config)
     monitors = attach_read_mode_monitors(sim, device, clocks)
     functional = La1FunctionalCoverage(host)
-    random_traffic(host, config, TRAFFIC, seed=2004)
+    queue_traffic(host, config, TRAFFIC, seed=2004)
     sim.initialize()
     start = time.perf_counter()
     sim.run(2 * CYCLES)
@@ -128,7 +128,7 @@ def _rtl_functional(banks: int, backend: str):
     sim = _rtl_sim(banks, backend)
     host = RtlHost(sim, config)
     functional = La1FunctionalCoverage(host)
-    random_traffic(host, config, TRAFFIC, seed=2004)
+    queue_traffic(host, config, TRAFFIC, seed=2004)
     start = time.perf_counter()
     host.run_cycles(CYCLES)
     elapsed = time.perf_counter() - start

@@ -1,20 +1,21 @@
 """Seeded LA-1 traffic streams, split into schedule and values.
 
-The fault campaign, the flow's OVL stage and the coverage testgen all
-drive the same Table-3 workload shape: a seeded random read/write mix
-over all banks.  Pattern packing (PPSFP's second axis) and lane-parallel
-stimulus scoring both need the *control* part of that stream -- which
-command goes to which bank, in which order -- held fixed while the
-*datapath* part (addresses, write data) varies per lane.  The LA-1
-status nets the lane machinery trusts for flow control depend only on
-the command schedule, so every variant stream settles control
-identically and lane 0 can arbitrate for all lanes.
+The fault campaign, the flow's ABV and OVL stages, the coverage
+collectors and the coverage testgen all drive the same Table-3 workload
+shape: a seeded random read/write mix over all banks, queued by
+:func:`queue_traffic`.  Pattern packing (PPSFP's second axis) and
+lane-parallel stimulus scoring both need the *control* part of that
+stream -- which command goes to which bank, in which order -- held
+fixed while the *datapath* part (addresses, write data) varies per
+lane.  The LA-1 status nets the lane machinery trusts for flow control
+depend only on the command schedule, so every variant stream settles
+control identically and lane 0 can arbitrate for all lanes.
 
-``traffic_schedule`` draws the base stream with exactly the random-call
-discipline the campaign has used since PR 2 (bank, address, read/write
-coin, then write data), so replaying a schedule through a host is
-bit-identical to the historical inline loops.  ``pattern_values``
-re-draws only the datapath fields from a derived seed.
+``traffic_schedule`` draws the base stream with one fixed random-call
+discipline per transaction (bank, address, read/write coin, then write
+data), so a seed names the same stream wherever it is replayed.
+``pattern_values`` re-draws only the datapath fields from a derived
+seed.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def queue_traffic(host, config: La1Config, count: int, seed: int,
                   pattern: int = 0) -> None:
     """Queue the seeded stream onto ``host`` (``read``/``write`` API).
 
-    ``pattern=0`` reproduces the historical inline loop bit for bit;
+    ``pattern=0`` queues the base stream of :func:`traffic_schedule`;
     ``pattern>0`` keeps the command schedule and re-draws addr/data.
     """
     schedule = traffic_schedule(config, count, seed)

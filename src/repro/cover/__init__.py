@@ -37,7 +37,6 @@ from .la1 import (
     collect_rtl_coverage,
     collect_sysc_coverage,
     random_asm_walk,
-    random_traffic,
 )
 from .rtl_cov import ToggleCollector, compile_toggle_probe
 from .rtl_walk import RtlWalkCase, RtlWalkModel
@@ -74,6 +73,5 @@ __all__ = [
     "collect_sysc_coverage",
     "collect_rtl_coverage",
     "collect_asm_coverage",
-    "random_traffic",
     "random_asm_walk",
 ]

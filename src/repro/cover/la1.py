@@ -34,6 +34,7 @@ from ..core.ovl_bindings import build_la1_top_with_ovl
 from ..core.rtl_testbench import RtlHost
 from ..core.spec import La1Config
 from ..core.sysc_model import build_la1_system
+from ..core.traffic import queue_traffic
 from ..rtl import RtlSimulator, elaborate
 from .asm_cov import AsmCoverage, la1_state_predicates
 from .assertion import OvlAssertionCoverage, PslAssertionCoverage
@@ -42,27 +43,12 @@ from .functional import La1FunctionalCoverage
 from .rtl_cov import ToggleCollector
 
 __all__ = [
-    "random_traffic",
     "random_asm_walk",
     "collect_sysc_coverage",
     "collect_rtl_coverage",
     "collect_asm_coverage",
     "collect_la1_coverage",
 ]
-
-
-def random_traffic(host, config: La1Config, count: int, seed: int) -> None:
-    """Queue ``count`` seeded random read/write transactions (the same
-    distribution the flow's ABV and OVL stages drive)."""
-    rng = random.Random(seed)
-    word_max = (1 << config.word_bits) - 1
-    for __ in range(count):
-        bank = rng.randrange(config.banks)
-        addr = rng.randrange(config.mem_words)
-        if rng.random() < 0.5:
-            host.read(bank, addr)
-        else:
-            host.write(bank, addr, rng.randint(0, word_max))
 
 
 def random_asm_walk(machine: AsmMachine, steps: int, seed: int) -> int:
@@ -94,7 +80,7 @@ def collect_sysc_coverage(banks: int = 2, traffic: int = 24,
     monitors = attach_read_mode_monitors(sim, device, clocks)
     functional = La1FunctionalCoverage(host)
     assertion = PslAssertionCoverage(monitors)
-    random_traffic(host, config, traffic, seed)
+    queue_traffic(host, config, traffic, seed)
     sim.run(traffic * 20 + 200)
     summarize(monitors).finish()
     functional.detach()
@@ -127,7 +113,7 @@ def collect_rtl_coverage(banks: int = 2, traffic: int = 24,
     host = RtlHost(sim, config)
     toggles = ToggleCollector(sim)
     ovl = OvlAssertionCoverage(sim)
-    random_traffic(host, config, traffic, seed)
+    queue_traffic(host, config, traffic, seed)
     host.run_until_idle()
     toggles.detach()
     ovl.detach()

@@ -5,7 +5,7 @@
   and the netlist fingerprint (``--verilog`` dumps the emitted RTL);
 * ``verify <design>`` -- the full flow (lint, conformance, model
   checking, coverage, fault-campaign smoke); exit code 1 on any
-  failing stage, for CI gates.
+  failing stage, for CI gates, and 2 on an unknown stage name.
 """
 
 from __future__ import annotations
@@ -65,12 +65,16 @@ def _cmd_elaborate(args) -> int:
 def _cmd_verify(args) -> int:
     from .flow import run_dsl_flow
 
-    report = run_dsl_flow(
-        args.design,
-        seed=args.seed,
-        mc_engine=args.mc_engine,
-        stages=args.stages.split(",") if args.stages else None,
-    )
+    try:
+        report = run_dsl_flow(
+            args.design,
+            seed=args.seed,
+            mc_engine=args.mc_engine,
+            stages=args.stages.split(",") if args.stages else None,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(report.render())
     return 0 if report.ok else 1
 

@@ -13,7 +13,7 @@ whose :meth:`~PropertySweepReport.combined` collapses the per-property
 results into one :class:`~repro.mc.checker.SymbolicCheckResult` with
 conjunction semantics -- sweeping the three read-mode conjuncts reaches
 the same verdict as checking their conjunction in one run, which is how
-``run_flow(jobs=N)`` parallelizes its RTL model-checking stage.
+``FlowConfig(jobs=N)`` parallelizes its RTL model-checking stage.
 """
 
 from __future__ import annotations

@@ -307,6 +307,17 @@ class FlowJob(Job):
         self.mc_engine = str(_get(spec, "mc_engine",
                                   "sat" if self.design else "bdd", (str,)))
         self.coverage = bool(_get(spec, "coverage", True, (bool, int)))
+        from ..core.flow import MC_ENGINES, RTL_MC_MODES, require_choice
+
+        # reject unknown names at submission (the 400 path), not after
+        # the job has been queued and run
+        require_choice("mc engine", self.mc_engine, MC_ENGINES)
+        if self.design:
+            from ..dsl.zoo import zoo_names
+
+            require_choice("zoo design", self.design, zoo_names())
+        else:
+            require_choice("rtl_mc mode", self.rtl_mc, RTL_MC_MODES)
 
     def fingerprint(self) -> dict:
         if self.design:
@@ -339,34 +350,20 @@ class FlowJob(Job):
 
             report = run_dsl_flow(self.design, seed=self.seed,
                                   mc_engine=self.mc_engine)
-            stages = []
-            for stage in report.stages:
-                emit({"type": "stage", "name": stage.name, "ok": stage.ok})
-                stages.append({
-                    "name": stage.name,
-                    "ok": stage.ok,
-                    "detail": stage.detail,
-                    "cpu_time": round(stage.cpu_time, 4),
-                })
-            return {
-                "ok": report.ok,
-                "design": self.design,
-                "fingerprint": report.fingerprint,
-                "stages": stages,
-            }
-        from ..core.flow import FlowConfig, run_flow
+        else:
+            from ..core.flow import FlowConfig, run_flow
 
-        report = run_flow(FlowConfig(
-            banks=self.banks,
-            traffic=self.traffic,
-            seed=self.seed,
-            rtl_mc=self.rtl_mc,
-            mc_engine=self.mc_engine,
-            coverage=self.coverage,
-            jobs=self.jobs,
-            shard_attempts=self.shard_attempts,
-            shard_deadline_s=self.shard_deadline_s,
-        ))
+            report = run_flow(FlowConfig(
+                banks=self.banks,
+                traffic=self.traffic,
+                seed=self.seed,
+                rtl_mc=self.rtl_mc,
+                mc_engine=self.mc_engine,
+                coverage=self.coverage,
+                jobs=self.jobs,
+                shard_attempts=self.shard_attempts,
+                shard_deadline_s=self.shard_deadline_s,
+            ))
         stages = []
         for stage in report.stages:
             emit({"type": "stage", "name": stage.name, "ok": stage.ok})
@@ -376,6 +373,13 @@ class FlowJob(Job):
                 "detail": stage.detail,
                 "cpu_time": round(stage.cpu_time, 4),
             })
+        if self.design:
+            return {
+                "ok": report.ok,
+                "design": self.design,
+                "fingerprint": report.fingerprint,
+                "stages": stages,
+            }
         return {
             "ok": report.ok,
             "stages": stages,

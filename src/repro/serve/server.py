@@ -58,6 +58,11 @@ _TERMINAL = ("done", "cached", "error")
 #: largest request body accepted (job specs are well under 1 KB)
 MAX_BODY_BYTES = 1 << 20
 
+#: a client has this long to send its request line, headers and body;
+#: a slower one (stalled or trickling) is answered 408 and dropped, so
+#: it cannot hold a connection open indefinitely
+REQUEST_TIMEOUT_S = 10.0
+
 #: after refusing a request the server half-closes and discards at most
 #: this much further input, for at most this long, so a client still
 #: uploading its body reads the error status rather than a connection
@@ -220,7 +225,13 @@ class VerificationServer:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             try:
-                request = await self._read_request(reader)
+                request = await asyncio.wait_for(
+                    self._read_request(reader), REQUEST_TIMEOUT_S)
+            except asyncio.TimeoutError:
+                await self._respond(writer, 408, {
+                    "error": f"request not received within "
+                             f"{REQUEST_TIMEOUT_S} s"})
+                return
             except _RequestRejected as exc:
                 await self._respond(writer, exc.status, {"error": str(exc)})
                 await self._discard_input(reader, writer)
@@ -265,7 +276,9 @@ class VerificationServer:
                 try:
                     content_length = int(value.strip())
                 except ValueError:
-                    content_length = 0
+                    raise _RequestRejected(
+                        400, f"invalid Content-Length {value.strip()!r}"
+                    ) from None
         if content_length < 0:
             raise _RequestRejected(
                 400, f"negative Content-Length {content_length}")
@@ -301,7 +314,8 @@ class VerificationServer:
     async def _respond(writer, status: int, payload: dict) -> None:
         body = json.dumps(payload, sort_keys=True).encode()
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  405: "Method Not Allowed", 413: "Payload Too Large",
+                  405: "Method Not Allowed", 408: "Request Timeout",
+                  413: "Payload Too Large",
                   500: "Internal Server Error"}.get(status, "OK")
         writer.write(
             f"HTTP/1.1 {status} {reason}\r\n"

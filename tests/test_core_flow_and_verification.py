@@ -156,8 +156,7 @@ class TestFlow:
         assert db.levels() == ["asm", "assert", "func", "rtl"]
 
     def test_flow_single_bank(self):
-        report = run_flow(FlowConfig(banks=1, traffic=10,
-                                     conformance_depth=4))
+        report = run_flow(FlowConfig(banks=1, traffic=10))
         assert report.ok, report.render()
 
     def test_flow_skip_rtl_mc(self):

@@ -128,12 +128,12 @@ class TestOvlAssertionCoverage:
 
     def test_traffic_activates_and_passes(self):
         from repro.core import RtlHost
-        from repro.cover.la1 import random_traffic
+        from repro.core.traffic import queue_traffic
 
         sim = self._sim()
         host = RtlHost(sim, CONFIG)
         coverage = OvlAssertionCoverage(sim)
-        random_traffic(host, CONFIG, 24, seed=2004)
+        queue_traffic(host, CONFIG, 24, seed=2004)
         host.run_until_idle()
         coverage.detach()
         db = coverage.harvest()

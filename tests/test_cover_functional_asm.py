@@ -12,6 +12,7 @@ from repro.core import (
     build_la1_top_with_ovl,
 )
 from repro.core.asm_model import build_la1_asm
+from repro.core.traffic import queue_traffic
 from repro.cover import (
     AsmCoverage,
     CoverageDB,
@@ -22,7 +23,7 @@ from repro.cover import (
     replay_coverage,
     undirected_suite,
 )
-from repro.cover.la1 import random_asm_walk, random_traffic
+from repro.cover.la1 import random_asm_walk
 from repro.rtl import RtlSimulator, elaborate
 
 CONFIG = La1Config(banks=2, beat_bits=16, addr_bits=3)
@@ -88,7 +89,7 @@ class TestLa1FunctionalCoverage:
                            backend="compiled")
         host = RtlHost(sim, CONFIG)
         functional = La1FunctionalCoverage(host)
-        random_traffic(host, CONFIG, 24, seed=2004)
+        queue_traffic(host, CONFIG, 24, seed=2004)
         host.run_until_idle()
         functional.detach()
         db = functional.harvest()
@@ -221,7 +222,7 @@ class TestMergeAcrossLevels:
     def test_functional_plus_asm_merge(self):
         sim, clocks, device, host = build_la1_system(CONFIG)
         functional = La1FunctionalCoverage(host)
-        random_traffic(host, CONFIG, 12, seed=7)
+        queue_traffic(host, CONFIG, 12, seed=7)
         sim.run(500)
         functional.detach()
         func_db = functional.harvest()

@@ -6,8 +6,8 @@ backend, a plain loop on the interpreter), and the normalized
 import pytest
 
 from repro.core import La1Config, RtlHost, build_la1_top_with_ovl
+from repro.core.traffic import queue_traffic
 from repro.cover import CoverageDB, ToggleCollector, compile_toggle_probe
-from repro.cover.la1 import random_traffic
 from repro.rtl import RtlSimulator, elaborate
 
 
@@ -24,7 +24,7 @@ def _collect(banks: int, backend: str, traffic: int = 24, seed: int = 2004,
                        backend=backend)
     host = RtlHost(sim, config)
     collector = ToggleCollector(sim, nets=nets)
-    random_traffic(host, config, traffic, seed)
+    queue_traffic(host, config, traffic, seed)
     host.run_until_idle()
     assert sim.ok, sim.failures[:3]
     return sim, collector

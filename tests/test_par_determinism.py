@@ -148,8 +148,7 @@ class TestFlowJobs:
     def test_flow_rtl_mc_stage_parallel(self):
         from repro.core.flow import FlowConfig, run_flow
 
-        config = FlowConfig(banks=1, traffic=8, jobs=2,
-                            static_lint=False, coverage=False)
+        config = FlowConfig(banks=1, traffic=8, jobs=2, coverage=False)
         report = run_flow(config)
         stage = next(s for s in report.stages
                      if s.name == "rtl_model_checking")

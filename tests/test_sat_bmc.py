@@ -140,8 +140,7 @@ class TestFlowIntegration:
         from repro.core.flow import FlowConfig, run_flow
 
         report = run_flow(FlowConfig(
-            banks=1, traffic=4, mc_engine="sat",
-            static_lint=False, coverage=False))
+            banks=1, traffic=4, mc_engine="sat", coverage=False))
         stage = next(s for s in report.stages
                      if s.name == "rtl_model_checking")
         assert stage.ok
@@ -153,5 +152,4 @@ class TestFlowIntegration:
 
         with pytest.raises(ValueError, match="unknown mc engine"):
             run_flow(FlowConfig(
-                banks=1, traffic=4, mc_engine="smt",
-                static_lint=False, coverage=False))
+                banks=1, traffic=4, mc_engine="smt", coverage=False))

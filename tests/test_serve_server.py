@@ -138,6 +138,39 @@ class TestHostileClients:
         assert status == 400
         assert "negative Content-Length" in body["error"]
 
+    def test_non_integer_content_length_is_400(self, server):
+        srv, __, ___ = server
+        status, body = _raw(srv.port, b"POST /jobs HTTP/1.1\r\n"
+                            b"Content-Length: abc\r\n\r\n{}")
+        assert status == 400
+        assert "invalid Content-Length 'abc'" in body["error"]
+
+    def test_stalled_client_gets_408_and_is_closed(self, server,
+                                                   monkeypatch):
+        import repro.serve.server as server_module
+
+        srv, __, ___ = server
+        monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.2)
+        with socket.create_connection(("127.0.0.1", srv.port),
+                                      timeout=30) as sock:
+            # stall mid-headers without half-closing: only the server's
+            # deadline can end this request
+            sock.sendall(b"POST /jobs HTTP/1.1\r\nContent-Le")
+            data = b""
+            while chunk := sock.recv(65536):
+                data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert "within 0.2 s" in json.loads(body.decode())["error"]
+
+    def test_unknown_zoo_design_is_400(self, server):
+        __, base, ___ = server
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            _http("POST", f"{base}/jobs",
+                  {"kind": "flow", "spec": {"design": "nope"}})
+        assert exc.value.code == 400
+        assert "unknown zoo design" in json.loads(exc.value.read())["error"]
+
     def test_oversized_body_is_413_before_reading_it(self, server):
         srv, __, ___ = server
         status, body = _raw(
