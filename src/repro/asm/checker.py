@@ -24,13 +24,12 @@ callers may supply arbitrary ``atom -> f(state_dict) -> bool`` functions.
 from __future__ import annotations
 
 import time
-from collections import deque
 from typing import Callable, Mapping, Optional, Sequence
 
 from ..psl.ast import Property, PslError, Sere
 from ..psl.automata import CheckerAutomaton, build_checker
 from ..psl.sere import compile_sere
-from .exploration import ExplorationConfig
+from .exploration import ExplorationConfig, StateWalk
 from .machine import AsmMachine
 
 __all__ = ["Labeling", "ModelCheckResult", "CoverResult", "AsmModelChecker"]
@@ -168,9 +167,6 @@ class AsmModelChecker:
         num_assumptions = len(assumptions)
         checkers = [build_checker(p) for p in assumptions]
         checkers += [build_checker(p) for p in props]
-        machine = self.machine
-        config = self.config
-        machine.reset()
 
         # The product step is a pure function of (checker states, atom
         # values), so each distinct snapshot is labeled once over the union
@@ -201,8 +197,8 @@ class AsmModelChecker:
                 steps[step_key] = succ
             return succ
 
-        initial_snapshot = machine.snapshot()
-        initial_chk = advance((0,) * len(checkers), initial_snapshot)
+        walk = StateWalk(self.machine, self.config)
+        initial_chk = advance((0,) * len(checkers), walk.root)
         fail = CheckerAutomaton.FAIL_STATE
 
         def assumption_violated(chk_states: tuple) -> bool:
@@ -210,11 +206,6 @@ class AsmModelChecker:
 
         def property_violated(chk_states: tuple) -> bool:
             return fail in chk_states[num_assumptions:]
-
-        # parents: product_key -> (parent_key, action_label, snapshot)
-        parents: dict = {}
-        initial_key = (self._project(initial_snapshot), initial_chk)
-        parents[initial_key] = (None, None, initial_snapshot)
 
         if assumption_violated(initial_chk):
             # no assumption-consistent behaviour exists: vacuously true
@@ -226,81 +217,36 @@ class AsmModelChecker:
             elapsed = time.perf_counter() - start
             return ModelCheckResult(
                 False, 1, 0, elapsed,
-                counterexample=[("initial", dict(initial_snapshot))],
+                counterexample=[("initial", dict(walk.root))],
                 property_name=name,
             )
 
-        queue: deque = deque([(initial_snapshot, initial_chk, initial_key, 0)])
-        visited = {initial_key}
-        num_transitions = 0
-        truncated = False
-        reason = ""
-        deadline = (
-            None if getattr(config, "deadline_s", None) is None
-            else start + config.deadline_s
-        )
+        counterexample: list = []
 
-        while queue:
-            if deadline is not None and time.perf_counter() > deadline:
-                truncated = True
-                reason = "deadline"
-                break
-            snapshot, chk_states, key, depth = queue.popleft()
-            if config.max_depth is not None and depth >= config.max_depth:
-                truncated = True
-                reason = reason or "bounds"
-                continue
-            machine.restore(snapshot)
-            actions = machine.enabled_actions()
-            if config.action_filter is not None:
-                actions = [a for a in actions if config.action_filter(a)]
-            for action in actions:
-                if (
-                    config.max_transitions is not None
-                    and num_transitions >= config.max_transitions
-                ):
-                    truncated = True
-                    reason = reason or "bounds"
-                    break
-                machine.restore(snapshot)
-                machine.fire(action)
-                succ_snapshot = machine.snapshot()
-                succ_chk = advance(chk_states, succ_snapshot)
-                succ_key = (self._project(succ_snapshot), succ_chk)
-                num_transitions += 1
-                if assumption_violated(succ_chk):
-                    continue  # pruned: outside the assumed environment
-                if succ_key not in parents:
-                    parents[succ_key] = (key, action.label, succ_snapshot)
-                if property_violated(succ_chk):
-                    elapsed = time.perf_counter() - start
-                    machine.reset()
-                    return ModelCheckResult(
-                        False,
-                        len(visited) + 1,
-                        num_transitions,
-                        elapsed,
-                        counterexample=self._trace(parents, succ_key),
-                        property_name=name,
-                    )
-                if succ_key in visited:
-                    continue
-                if (
-                    config.max_states is not None
-                    and len(visited) >= config.max_states
-                ):
-                    truncated = True
-                    reason = reason or "bounds"
-                    continue
-                visited.add(succ_key)
-                queue.append((succ_snapshot, succ_chk, succ_key, depth + 1))
+        def step(node, action, updates, snapshot):
+            if snapshot is None:
+                raise updates
+            succ_chk = advance(node.tag, snapshot)
+            if assumption_violated(succ_chk):
+                return False  # pruned: outside the assumed environment
+            if property_violated(succ_chk):
+                counterexample.extend(walk.trace(node))
+                counterexample.append((action.label, dict(snapshot)))
+                return True
+            walk.admit(node, action, snapshot, succ_chk)
+            return False
 
-        machine.reset()
+        violated = walk.run(step, initial_chk)
         elapsed = time.perf_counter() - start
-        holds: Optional[bool] = True if not truncated else None
+        if violated:
+            return ModelCheckResult(
+                False, len(walk.nodes) + 1, walk.transitions, elapsed,
+                counterexample=counterexample, property_name=name,
+            )
+        reason = walk.truncated_reason
         return ModelCheckResult(
-            holds, len(visited), num_transitions, elapsed, property_name=name,
-            truncated_reason=reason,
+            None if reason else True, len(walk.nodes), walk.transitions,
+            elapsed, property_name=name, truncated_reason=reason,
         )
 
     # ------------------------------------------------------------------
@@ -310,99 +256,35 @@ class AsmModelChecker:
         start = time.perf_counter()
         nfa = compile_sere(sere)
         atoms = sorted(sere.atoms())
-        machine = self.machine
-        config = self.config
-        machine.reset()
-
-        def val(snapshot: tuple) -> dict:
-            return self.labeling.valuation(dict(snapshot), atoms)
-
-        initial_snapshot = machine.snapshot()
+        label = self.labeling.valuation
+        walk = StateWalk(self.machine, self.config)
         # NFA runs start fresh at every cycle (cover matches anywhere)
-        initial_runs = nfa.step(nfa.initial, val(initial_snapshot))
+        initial_runs = nfa.step(nfa.initial, label(dict(walk.root), atoms))
         if nfa.accepts_now(initial_runs) or nfa.accepts_empty:
             elapsed = time.perf_counter() - start
-            machine.reset()
             return CoverResult(True, 1, 0, elapsed,
-                               witness=[("initial", dict(initial_snapshot))],
+                               witness=[("initial", dict(walk.root))],
                                name=name)
-        initial_key = (self._project(initial_snapshot), initial_runs)
-        parents: dict = {initial_key: (None, None, initial_snapshot)}
-        queue: deque = deque([(initial_snapshot, initial_runs, initial_key, 0)])
-        visited = {initial_key}
-        num_transitions = 0
-        truncated = False
-        deadline = (
-            None if getattr(config, "deadline_s", None) is None
-            else start + config.deadline_s
-        )
-        while queue:
-            if deadline is not None and time.perf_counter() > deadline:
-                truncated = True
-                break
-            snapshot, runs, key, depth = queue.popleft()
-            if config.max_depth is not None and depth >= config.max_depth:
-                truncated = True
-                continue
-            machine.restore(snapshot)
-            actions = machine.enabled_actions()
-            if config.action_filter is not None:
-                actions = [a for a in actions if config.action_filter(a)]
-            for action in actions:
-                if (
-                    config.max_transitions is not None
-                    and num_transitions >= config.max_transitions
-                ):
-                    truncated = True
-                    break
-                machine.restore(snapshot)
-                machine.fire(action)
-                succ = machine.snapshot()
-                valuation = val(succ)
-                succ_runs = nfa.step(runs | nfa.initial, valuation)
-                succ_key = (self._project(succ), succ_runs)
-                num_transitions += 1
-                if succ_key not in parents:
-                    parents[succ_key] = (key, action.label, succ)
-                if nfa.accepts_now(succ_runs):
-                    elapsed = time.perf_counter() - start
-                    machine.reset()
-                    return CoverResult(
-                        True, len(visited) + 1, num_transitions, elapsed,
-                        witness=self._trace(parents, succ_key), name=name,
-                    )
-                if succ_key in visited:
-                    continue
-                if (
-                    config.max_states is not None
-                    and len(visited) >= config.max_states
-                ):
-                    truncated = True
-                    continue
-                visited.add(succ_key)
-                queue.append((succ, succ_runs, succ_key, depth + 1))
-        machine.reset()
+        witness: list = []
+
+        def step(node, action, updates, snapshot):
+            if snapshot is None:
+                raise updates
+            runs = nfa.step(node.tag | nfa.initial,
+                            label(dict(snapshot), atoms))
+            if nfa.accepts_now(runs):
+                witness.extend(walk.trace(node))
+                witness.append((action.label, dict(snapshot)))
+                return True
+            walk.admit(node, action, snapshot, runs)
+            return False
+
+        covered = walk.run(step, initial_runs)
         elapsed = time.perf_counter() - start
+        if covered:
+            return CoverResult(True, len(walk.nodes) + 1, walk.transitions,
+                               elapsed, witness=witness, name=name)
         return CoverResult(
-            None if truncated else False,
-            len(visited), num_transitions, elapsed, name=name,
+            None if walk.truncated_reason else False,
+            len(walk.nodes), walk.transitions, elapsed, name=name,
         )
-
-    # ------------------------------------------------------------------
-    def _project(self, snapshot: tuple) -> tuple:
-        projection = self.config.state_projection
-        if projection is None:
-            return snapshot
-        as_dict = dict(snapshot)
-        return tuple((v, as_dict[v]) for v in projection)
-
-    @staticmethod
-    def _trace(parents: dict, key) -> list:
-        """Reconstruct the counterexample path to ``key``."""
-        steps = []
-        while key is not None:
-            parent, label, snapshot = parents[key]
-            steps.append((label or "initial", dict(snapshot)))
-            key = parent
-        steps.reverse()
-        return steps

@@ -58,11 +58,6 @@ class Fsm:
         self.transitions: list[Transition] = []
         self.complete = True
 
-    def add_state(self, snapshot: tuple) -> int:
-        """Record a state snapshot; returns its id."""
-        self.states.append(snapshot)
-        return len(self.states) - 1
-
     def add_transition(self, src: int, label: str, dst: int,
                        action: Optional["Action"] = None) -> None:
         """Record a transition (with the fired action, when known)."""
@@ -77,10 +72,6 @@ class Fsm:
     def num_transitions(self) -> int:
         """Number of FSM transitions (Table 1's "Transitions")."""
         return len(self.transitions)
-
-    def successors(self, state: int) -> list[Transition]:
-        """Outgoing transitions of a state."""
-        return [t for t in self.transitions if t.src == state]
 
     def state_dict(self, state: int) -> dict:
         """A state's snapshot as a dictionary."""

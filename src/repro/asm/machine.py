@@ -212,12 +212,14 @@ class AsmMachine:
             seen[key] = value
         return updates
 
-    def fire(self, action: Action) -> None:
-        """Fire an enabled action: apply its update set atomically."""
+    def fire(self, action: Action) -> dict:
+        """Fire an enabled action: apply its update set atomically and
+        return it."""
         updates = self.compute_updates(action)
         self.state.update(updates)
         for observer in self.fire_observers:
             observer(self, action)
+        return updates
 
     def fire_named(self, rule_name: str, **args) -> None:
         """Convenience: fire a rule by name with explicit arguments."""

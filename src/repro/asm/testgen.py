@@ -31,7 +31,7 @@ from .fsm import Fsm, Transition
 from .machine import Action, AsmError, AsmMachine
 
 __all__ = ["TestSuite", "ReplayReport", "generate_transition_cover",
-           "generate_random_walks", "replay_suite"]
+           "random_walk", "replay_suite"]
 
 
 class TestSuite:
@@ -126,15 +126,11 @@ def generate_transition_cover(fsm: Fsm) -> TestSuite:
     return TestSuite(cases, fsm)
 
 
-def generate_random_walks(
-    machine: AsmMachine,
-    cases: int,
-    steps: int,
-    seed: int = 0,
-) -> list[list[Action]]:
-    """Generate ``cases`` random from-reset action sequences.
+def random_walk(machine: AsmMachine, steps: int,
+                seed: int = 0) -> list[Action]:
+    """One random from-reset action sequence; returns the fired actions.
 
-    Each walk starts at the machine's reset state and repeatedly fires a
+    The walk starts at the machine's reset state and repeatedly fires a
     uniformly chosen enabled action, up to ``steps`` actions (shorter if
     the machine deadlocks).  This is the *undirected* stimulus baseline;
     the coverage-driven selection loop in :mod:`repro.cover.testgen`
@@ -142,20 +138,17 @@ def generate_random_walks(
     is left in its reset state.
     """
     rng = random.Random(seed)
-    walks: list[list[Action]] = []
-    for __ in range(cases):
-        machine.reset()
-        walk: list[Action] = []
-        for __ in range(steps):
-            enabled = machine.enabled_actions()
-            if not enabled:
-                break
-            action = rng.choice(enabled)
-            machine.fire(action)
-            walk.append(action)
-        walks.append(walk)
     machine.reset()
-    return walks
+    walk: list[Action] = []
+    for __ in range(steps):
+        enabled = machine.enabled_actions()
+        if not enabled:
+            break
+        action = rng.choice(enabled)
+        machine.fire(action)
+        walk.append(action)
+    machine.reset()
+    return walk
 
 
 class ReplayReport:

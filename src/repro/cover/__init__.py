@@ -36,7 +36,6 @@ from .la1 import (
     collect_la1_coverage,
     collect_rtl_coverage,
     collect_sysc_coverage,
-    random_asm_walk,
 )
 from .rtl_cov import ToggleCollector, compile_toggle_probe
 from .rtl_walk import RtlWalkCase, RtlWalkModel
@@ -73,5 +72,4 @@ __all__ = [
     "collect_sysc_coverage",
     "collect_rtl_coverage",
     "collect_asm_coverage",
-    "random_asm_walk",
 ]

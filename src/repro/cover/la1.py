@@ -23,11 +23,10 @@ over exactly these collections.
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from ..abv import summarize
-from ..asm.machine import AsmMachine
+from ..asm.testgen import random_walk
 from ..core.asm_model import La1AsmConfig, build_la1_asm
 from ..core.monitors import attach_read_mode_monitors
 from ..core.ovl_bindings import build_la1_top_with_ovl
@@ -43,26 +42,11 @@ from .functional import La1FunctionalCoverage
 from .rtl_cov import ToggleCollector
 
 __all__ = [
-    "random_asm_walk",
     "collect_sysc_coverage",
     "collect_rtl_coverage",
     "collect_asm_coverage",
     "collect_la1_coverage",
 ]
-
-
-def random_asm_walk(machine: AsmMachine, steps: int, seed: int) -> int:
-    """Fire ``steps`` uniformly chosen enabled actions from the current
-    state; returns the number actually fired (deadlock stops early)."""
-    rng = random.Random(seed)
-    fired = 0
-    for __ in range(steps):
-        enabled = machine.enabled_actions()
-        if not enabled:
-            break
-        machine.fire(rng.choice(enabled))
-        fired += 1
-    return fired
 
 
 def _la1_config(banks: int) -> La1Config:
@@ -128,7 +112,7 @@ def collect_asm_coverage(banks: int = 2, steps: int = 64, seed: int = 2004,
     db = db if db is not None else CoverageDB()
     machine = build_la1_asm(La1AsmConfig(banks=banks))
     collector = AsmCoverage(machine, la1_state_predicates(banks))
-    random_asm_walk(machine, steps, seed)
+    random_walk(machine, steps, seed)
     collector.detach()
     collector.harvest(db)
     return db

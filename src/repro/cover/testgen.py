@@ -4,7 +4,7 @@ The paper's AsmL workflow generates tests from the explored FSM and
 admits "the test suite ... usually does not cover all possible states
 and transitions".  This module closes the loop with coverage feedback:
 candidate stimulus comes from
-:func:`repro.asm.testgen.generate_random_walks`, and each round the
+:func:`repro.asm.testgen.random_walk`, and each round the
 candidate that newly covers the most ASM coverage points (rules plus
 state predicates, :mod:`repro.cover.asm_cov`) is admitted to the suite.
 The loop stops at a coverage target or after a configurable number of
@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Mapping, Optional
 
 from ..asm.machine import Action, AsmMachine
-from ..asm.testgen import generate_random_walks
+from ..asm.testgen import random_walk
 from ..par.seeds import derive_seed
 from .asm_cov import AsmCoverage, Predicate
 from .db import CoverageDB
@@ -111,7 +111,7 @@ def _walk_case(machine, walk_seed: int, walk_steps: int):
     hook = getattr(machine, "walk_case", None)
     if hook is not None:
         return hook(walk_seed, walk_steps)
-    return generate_random_walks(machine, 1, walk_steps, seed=walk_seed)[0]
+    return random_walk(machine, walk_steps, seed=walk_seed)
 
 
 def _admit_case(machine, predicates, case, db: CoverageDB) -> CoverageDB:
@@ -216,8 +216,7 @@ def _score_round(
     base_covered = db.counts()[0]
     gains = []
     for walk_seed in walk_seeds:
-        case = generate_random_walks(machine, 1, walk_steps,
-                                     seed=walk_seed)[0]
+        case = random_walk(machine, walk_steps, seed=walk_seed)
         trial = replay_coverage(machine, case, predicates, db.clone())
         gains.append(trial.counts()[0] - base_covered)
     return gains

@@ -41,7 +41,7 @@ from .analyses import (
     fold_expr,
     pure_fold,
 )
-from .asm_rules import AsmRulesPass, sweep_states
+from .asm_rules import AsmRulesPass
 from .coi import cone_of_influence, net_reads, reduce_design
 from .diagnostics import (
     ERROR,
@@ -108,7 +108,6 @@ __all__ = [
     "satisfiable",
     "sat_satisfiable",
     "sere_can_match",
-    "sweep_states",
     "net_reads",
     "cone_of_influence",
     "reduce_design",

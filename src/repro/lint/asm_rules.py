@@ -1,8 +1,10 @@
 """ASM model diagnostics: dead ``require`` guards and conflicting updates.
 
-Both rules run over a bounded breadth-first sweep of the machine's
-reachable states (interleaving semantics, every enabled action explored,
-capped by :attr:`~repro.lint.diagnostics.LintConfig.asm_state_cap`):
+Both rules run over one bounded breadth-first sweep of the machine's
+reachable states -- a :class:`~repro.asm.exploration.StateWalk`
+(interleaving semantics, every enabled action fired once, capped by
+:attr:`~repro.lint.diagnostics.LintConfig.asm_state_cap`) whose edges,
+with their update sets, are read as the walk hands them over:
 
 * a rule whose ``require`` guard never holds for any argument combination
   in any swept state is dead -- the conformance and model-checking runs
@@ -23,50 +25,18 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..asm.machine import AsmError, AsmMachine
+from ..asm.exploration import ExplorationConfig, StateWalk
 from .diagnostics import ERROR
 from .manager import LintContext, Pass
 
-__all__ = ["AsmRulesPass", "sweep_states"]
-
-
-def sweep_states(machine: AsmMachine, cap: int):
-    """Bounded BFS over reachable snapshots.
-
-    Returns ``(snapshots, capped)`` -- the visited snapshot list in BFS
-    order and whether the cap cut the sweep short.
-    """
-    saved = machine.snapshot()
-    machine.reset()
-    root = machine.snapshot()
-    seen = {root}
-    order = [root]
-    frontier = [root]
-    capped = False
-    while frontier:
-        snapshot = frontier.pop(0)
-        machine.restore(snapshot)
-        for action in machine.enabled_actions():
-            machine.restore(snapshot)
-            try:
-                updates = machine.compute_updates(action)
-            except AsmError:
-                continue  # reported by the rules pass, not the sweep
-            machine.state.update(updates)
-            succ = machine.snapshot()
-            if succ not in seen:
-                if len(seen) >= cap:
-                    capped = True
-                    continue
-                seen.add(succ)
-                order.append(succ)
-                frontier.append(succ)
-    machine.restore(saved)
-    return order, capped
+__all__ = ["AsmRulesPass"]
 
 
 class AsmRulesPass(Pass):
-    """Dead-rule and update-conflict detection over the state sweep."""
+    """Dead-rule and update-conflict detection over the state sweep.
+
+    The result's ``snapshots`` are the swept states in BFS order, which
+    :class:`~repro.lint.sat_rules.AsmSatRequirePass` re-reads."""
 
     name = "asm-rules"
 
@@ -74,33 +44,16 @@ class AsmRulesPass(Pass):
         machine = ctx.machine
         if machine is None:
             return None
-        cap = ctx.config.asm_state_cap
-        snapshots, capped = sweep_states(machine, cap)
-
         saved = machine.snapshot()
+        walk = StateWalk(machine, ExplorationConfig(
+            max_states=ctx.config.asm_state_cap, max_transitions=None))
         ever_enabled: set[str] = set()
         conflicts_seen: set[tuple] = set()
         broken_effects: set[str] = set()
-        for snapshot in snapshots:
-            machine.restore(snapshot)
-            actions = machine.enabled_actions()
-            updates = []
-            for action in actions:
-                ever_enabled.add(action.rule.name)
-                machine.restore(snapshot)
-                try:
-                    updates.append((action, machine.compute_updates(action)))
-                except AsmError as exc:
-                    if action.rule.name not in broken_effects:
-                        broken_effects.add(action.rule.name)
-                        ctx.emit(
-                            "asm-conflicting-updates", ERROR,
-                            f"{machine.name}.{action.rule.name}",
-                            f"action {action.label} cannot compute a "
-                            f"consistent update set: {exc}",
-                            fix_hint="make the rule's effect produce one "
-                                     "value per location",
-                        )
+        expanding = None
+        updates: list = []  # (action, update set) of the expanding state
+
+        def check_pairs() -> None:
             for (act_a, upd_a), (act_b, upd_b) in combinations(updates, 2):
                 if act_a.rule is act_b.rule:
                     continue  # interleaved alternatives, never one step
@@ -123,8 +76,36 @@ class AsmRulesPass(Pass):
                         fix_hint="make the guards mutually exclusive or "
                                  "reconcile the update sets",
                     )
+            updates.clear()
+
+        def step(node, action, applied, snapshot):
+            nonlocal expanding
+            if node is not expanding:
+                check_pairs()
+                expanding = node
+            ever_enabled.add(action.rule.name)
+            if snapshot is None:
+                if action.rule.name not in broken_effects:
+                    broken_effects.add(action.rule.name)
+                    ctx.emit(
+                        "asm-conflicting-updates", ERROR,
+                        f"{machine.name}.{action.rule.name}",
+                        f"action {action.label} cannot compute a "
+                        f"consistent update set: {applied}",
+                        fix_hint="make the rule's effect produce one "
+                                 "value per location",
+                    )
+                return False
+            updates.append((action, applied))
+            walk.admit(node, action, snapshot)
+            return False
+
+        walk.run(step)
+        check_pairs()
         machine.restore(saved)
 
+        snapshots = [node.snapshot for node in walk.nodes]
+        capped = bool(walk.truncated_reason)
         for rule in machine.rules:
             if rule.name in ever_enabled:
                 continue
@@ -142,4 +123,5 @@ class AsmRulesPass(Pass):
             "states": len(snapshots),
             "capped": capped,
             "rules_enabled": sorted(ever_enabled),
+            "snapshots": snapshots,
         }

@@ -51,7 +51,6 @@ from ..sat.cnf import Tseitin
 from ..sat.drat import check_proof, check_unsat
 from ..sat.encode import NetlistEncoder
 from ..sat.solver import Solver
-from .asm_rules import sweep_states
 from .diagnostics import ERROR
 from .manager import LintContext, Pass
 from .psl_rules import PslTautologyPass, PslVacuityPass, sere_can_match
@@ -360,10 +359,10 @@ class AsmSatRequirePass(Pass):
 
     def run(self, ctx: LintContext) -> Optional[dict]:
         machine = ctx.machine
-        summary = ctx.results.get("asm-rules")
+        summary = ctx.result("asm-rules")
         if machine is None or summary is None:
             return None
-        snapshots, capped = sweep_states(machine, ctx.config.asm_state_cap)
+        snapshots, capped = summary["snapshots"], summary["capped"]
         enabled_names = set(summary["rules_enabled"])
         dead = [r.name for r in machine.rules
                 if r.name not in enabled_names]

@@ -246,7 +246,7 @@ def testgen_score_shard(spec: ModelSpec, db_dict: dict, candidates,
     gain)`` pairs return -- the coordinator regenerates the winning walk
     from the same seed, so no action object ever crosses the pipe.
     """
-    from ..asm.testgen import generate_random_walks
+    from ..asm.testgen import random_walk
     from ..cover.db import CoverageDB
     from ..cover.testgen import replay_coverage
 
@@ -255,8 +255,7 @@ def testgen_score_shard(spec: ModelSpec, db_dict: dict, candidates,
     base_covered = base.counts()[0]
     scores = []
     for index, walk_seed in candidates:
-        case = generate_random_walks(machine, 1, walk_steps,
-                                     seed=walk_seed)[0]
+        case = random_walk(machine, walk_steps, seed=walk_seed)
         trial = replay_coverage(machine, case, predicates, base.clone())
         scores.append((index, trial.counts()[0] - base_covered))
     return scores
@@ -294,14 +293,13 @@ def testgen_replay_shard(spec: ModelSpec, candidates,
     lossless, merging the per-walk DBs in walk order reproduces the
     sequential accumulation bit for bit.
     """
-    from ..asm.testgen import generate_random_walks
+    from ..asm.testgen import random_walk
     from ..cover.testgen import replay_coverage
 
     machine, predicates = _model(spec)
     out = []
     for index, walk_seed in candidates:
-        case = generate_random_walks(machine, 1, walk_steps,
-                                     seed=walk_seed)[0]
+        case = random_walk(machine, walk_steps, seed=walk_seed)
         db = replay_coverage(machine, case, predicates)
         out.append((index, db.to_dict()))
     return out

@@ -4,6 +4,7 @@ beat the undirected baseline for the same test budget)."""
 
 import pytest
 
+from repro.asm.testgen import random_walk
 from repro.core import (
     La1AsmConfig,
     La1Config,
@@ -23,7 +24,6 @@ from repro.cover import (
     replay_coverage,
     undirected_suite,
 )
-from repro.cover.la1 import random_asm_walk
 from repro.rtl import RtlSimulator, elaborate
 
 CONFIG = La1Config(banks=2, beat_bits=16, addr_bits=3)
@@ -119,7 +119,7 @@ class TestAsmCoverage:
     def test_walk_covers_rules_and_predicates(self):
         machine = build_la1_asm(La1AsmConfig(banks=2))
         collector = AsmCoverage(machine, la1_state_predicates(2))
-        random_asm_walk(machine, 64, seed=2004)
+        random_walk(machine, 64, seed=2004)
         collector.detach()
         db = collector.harvest()
         assert db.coverage("asm.rule") == 1.0
@@ -138,10 +138,10 @@ class TestAsmCoverage:
     def test_detach_stops_observing(self):
         machine = build_la1_asm(La1AsmConfig(banks=1))
         collector = AsmCoverage(machine, {})
-        random_asm_walk(machine, 4, seed=1)
+        random_walk(machine, 4, seed=1)
         steps = collector.steps
         collector.detach()
-        random_asm_walk(machine, 4, seed=2)
+        random_walk(machine, 4, seed=2)
         assert collector.steps == steps
         assert collector._on_fire not in machine.fire_observers
 
@@ -155,8 +155,7 @@ class TestCoverageDrivenTestgen:
     def test_replay_is_deterministic(self):
         machine = self._machine()
         predicates = la1_state_predicates(self.BANKS)
-        from repro.asm.testgen import generate_random_walks
-        case = generate_random_walks(machine, 1, 12, seed=3)[0]
+        case = random_walk(machine, 12, seed=3)
         a = replay_coverage(machine, case, predicates)
         b = replay_coverage(machine, case, predicates)
         assert a.covered_keys() == b.covered_keys()
@@ -229,7 +228,7 @@ class TestMergeAcrossLevels:
 
         machine = build_la1_asm(La1AsmConfig(banks=2))
         collector = AsmCoverage(machine, la1_state_predicates(2))
-        random_asm_walk(machine, 32, seed=7)
+        random_walk(machine, 32, seed=7)
         collector.detach()
         asm_db = collector.harvest()
 
