@@ -23,6 +23,7 @@ callers may supply arbitrary ``atom -> f(state_dict) -> bool`` functions.
 
 from __future__ import annotations
 
+import copy
 import time
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -149,13 +150,58 @@ class AsmModelChecker:
         """Check several properties in one product exploration.
 
         This mirrors Table 1, which reports "the CPU time required to
-        verify all the interface properties combined together".
+        verify all the interface properties combined together".  The
+        search stops at the first violation of any property.
 
         ``assumptions`` are environment constraints (PSL ``assume``
         directives): executions that would violate an assumption are
         pruned from the search, so properties are verified only over
         assumption-consistent behaviours -- the standard way RuleBase
         users modelled a constrained host.
+        """
+        violations, outcome = self._check_product(props, assumptions, 1)
+        result = next((v for v in violations if v is not None), outcome)
+        result.property_name = name
+        return result
+
+    def check_each(
+        self, suite: Sequence[tuple[str, Property]],
+    ) -> dict[str, ModelCheckResult]:
+        """Per-property verdicts of ``(name, property)`` pairs from one
+        product exploration, keyed by name in suite order.
+
+        The paper's procedure tracks every property's status during a
+        single walk.  A violated property's checker stays in
+        :attr:`CheckerAutomaton.FAIL_STATE` while the walk goes on for
+        the others, so it no longer splits product states; the walk
+        stops once every property has failed.  A violated property's
+        result carries its first counterexample in BFS order and the
+        accounting at that point; the others share the walk's outcome
+        (True, or None with its ``truncated_reason``).
+        """
+        violations, outcome = self._check_product(
+            [prop for _, prop in suite], (), len(suite))
+        results = {}
+        for (name, _), result in zip(suite, violations):
+            result = result or copy.copy(outcome)
+            result.property_name = name
+            results[name] = result
+        return results
+
+    def _check_product(
+        self,
+        props: Sequence[Property],
+        assumptions: Sequence[Property],
+        stop_after: int,
+    ) -> tuple[list, Optional[ModelCheckResult]]:
+        """Walk the product of the machine with the checkers of
+        ``assumptions`` and ``props`` until ``stop_after`` properties
+        have been violated.
+
+        Returns ``(violations, outcome)``: ``violations[i]`` is the
+        result of ``props[i]`` at its first violation, or None, and
+        ``outcome`` the result of the finished walk for every other
+        property (None when the walk stopped at ``stop_after``).
         """
         for prop in tuple(props) + tuple(assumptions):
             if not prop.is_safety():
@@ -167,11 +213,14 @@ class AsmModelChecker:
         num_assumptions = len(assumptions)
         checkers = [build_checker(p) for p in assumptions]
         checkers += [build_checker(p) for p in props]
+        fail = CheckerAutomaton.FAIL_STATE
 
         # The product step is a pure function of (checker states, atom
         # values), so each distinct snapshot is labeled once over the union
         # of all checkers' atoms, and each (checker states, valuation) pair
-        # is stepped once; both memos live only for this call.
+        # is stepped once; both memos live only for this call.  A step
+        # also names the checkers it newly drove into FAIL, ascending, so
+        # assumption checkers come first.
         atoms = sorted(set().union(*(chk.atoms for chk in checkers)))
         position = {atom: i for i, atom in enumerate(atoms)}
         projections = [tuple(position[a] for a in chk.atoms)
@@ -189,65 +238,64 @@ class AsmModelChecker:
             step_key = (chk_states, values)
             succ = steps.get(step_key)
             if succ is None:
-                succ = tuple(
+                succ_states = tuple(
                     chk.transition(cs, tuple(values[i] for i in proj))
                     for chk, proj, cs in zip(checkers, projections,
                                              chk_states)
                 )
-                steps[step_key] = succ
+                failed = tuple(
+                    i for i, (cs, nxt) in enumerate(zip(chk_states,
+                                                        succ_states))
+                    if nxt == fail and cs != fail
+                )
+                succ = steps[step_key] = (succ_states, failed)
             return succ
 
         walk = StateWalk(self.machine, self.config)
-        initial_chk = advance((0,) * len(checkers), walk.root)
-        fail = CheckerAutomaton.FAIL_STATE
+        violations: list = [None] * len(props)
+        found = 0
 
-        def assumption_violated(chk_states: tuple) -> bool:
-            return fail in chk_states[:num_assumptions]
+        def record(failed: tuple, path: Callable[[], list]) -> bool:
+            """Keep the first violation of each property in ``failed``;
+            True when ``stop_after`` properties are violated."""
+            nonlocal found
+            for i in failed:
+                if violations[i - num_assumptions] is None:
+                    violations[i - num_assumptions] = ModelCheckResult(
+                        False, len(walk.nodes) + 1, walk.transitions,
+                        time.perf_counter() - start, counterexample=path(),
+                    )
+                    found += 1
+            return found >= stop_after
 
-        def property_violated(chk_states: tuple) -> bool:
-            return fail in chk_states[num_assumptions:]
-
-        if assumption_violated(initial_chk):
+        initial_chk, failed = advance((0,) * len(checkers), walk.root)
+        if failed and failed[0] < num_assumptions:
             # no assumption-consistent behaviour exists: vacuously true
-            elapsed = time.perf_counter() - start
-            return ModelCheckResult(
-                True, 0, 0, elapsed, property_name=name,
-            )
-        if property_violated(initial_chk):
-            elapsed = time.perf_counter() - start
-            return ModelCheckResult(
-                False, 1, 0, elapsed,
-                counterexample=[("initial", dict(walk.root))],
-                property_name=name,
-            )
-
-        counterexample: list = []
+            return violations, ModelCheckResult(
+                True, 0, 0, time.perf_counter() - start)
+        if failed and record(failed, lambda: [("initial", dict(walk.root))]):
+            return violations, None
 
         def step(node, action, updates, snapshot):
             if snapshot is None:
                 raise updates
-            succ_chk = advance(node.tag, snapshot)
-            if assumption_violated(succ_chk):
-                return False  # pruned: outside the assumed environment
-            if property_violated(succ_chk):
-                counterexample.extend(walk.trace(node))
-                counterexample.append((action.label, dict(snapshot)))
-                return True
+            succ_chk, failed = advance(node.tag, snapshot)
+            if failed:
+                if failed[0] < num_assumptions:
+                    return False  # pruned: outside the assumed environment
+                if record(failed, lambda: walk.trace(node) + [
+                        (action.label, dict(snapshot))]):
+                    return True
             walk.admit(node, action, snapshot, succ_chk)
             return False
 
-        violated = walk.run(step, initial_chk)
-        elapsed = time.perf_counter() - start
-        if violated:
-            return ModelCheckResult(
-                False, len(walk.nodes) + 1, walk.transitions, elapsed,
-                counterexample=counterexample, property_name=name,
-            )
+        stopped = walk.run(step, initial_chk)
         reason = walk.truncated_reason
-        return ModelCheckResult(
+        outcome = None if stopped else ModelCheckResult(
             None if reason else True, len(walk.nodes), walk.transitions,
-            elapsed, property_name=name, truncated_reason=reason,
+            time.perf_counter() - start, truncated_reason=reason,
         )
+        return violations, outcome
 
     # ------------------------------------------------------------------
     def check_cover(self, sere: Sere, name: str = "cover") -> CoverResult:

@@ -75,6 +75,11 @@ __all__ = [
 
 OUTCOMES = ("detected", "silent", "masked", "truncated", "error")
 
+#: exploration bounds of an ASM fault's product walk; a walk they cut
+#: short without a violation is a ``truncated`` verdict
+ASM_MAX_STATES = 50_000
+ASM_MAX_TRANSITIONS = 500_000
+
 
 class CampaignConfig:
     """Workload shape and robustness budgets of one campaign."""
@@ -762,33 +767,27 @@ class FaultCampaign:
             for name, prop in device_property_suite(self.config.banks)
             if name.endswith(f"[{fault.bank}]")
         ]
-        deadline = self.config.fault_deadline_s
-        start = time.perf_counter()
-        detected_by: List[str] = []
-        truncated = False
-        for name, prop in suite:
-            remaining = None
-            if deadline is not None:
-                remaining = deadline - (time.perf_counter() - start)
-                if remaining <= 0:
-                    truncated = True
-                    break
-            checker = AsmModelChecker(
-                machine, labeling,
-                ExplorationConfig(max_states=50_000,
-                                  max_transitions=500_000,
-                                  deadline_s=remaining),
-            )
-            result = checker.check(prop, name)
-            if result.holds is False:
-                detected_by.append(name)
-            elif result.holds is None and result.truncated_reason == "deadline":
-                truncated = True
+        checker = AsmModelChecker(
+            machine, labeling,
+            ExplorationConfig(max_states=ASM_MAX_STATES,
+                              max_transitions=ASM_MAX_TRANSITIONS,
+                              deadline_s=self.config.fault_deadline_s),
+        )
+        results = checker.check_each(suite)
         asm_cov.detach()
+        detected_by = [name for name, result in results.items()
+                       if result.holds is False]
+        # with nothing violated every property shares the walk's outcome
+        reason = next(iter(results.values())).truncated_reason
         if detected_by:
             outcome, detail = "detected", ""
-        elif truncated:
+        elif reason == "deadline":
             outcome, detail = "truncated", "per-fault deadline expired"
+        elif reason:
+            outcome = "truncated"
+            detail = (f"ASM exploration bounds ({ASM_MAX_STATES} states, "
+                      f"{ASM_MAX_TRANSITIONS} transitions) hit before any "
+                      f"property of bank {fault.bank} was violated")
         else:
             outcome = "silent"
             detail = (f"no property of bank {fault.bank} violated by the "
@@ -984,11 +983,19 @@ class FaultCampaign:
                 if on_verdict is not None:
                     on_verdict(verdict)
 
-    #: relative per-fault cost by layer, used by the deterministic shard
-    #: planner: the ASM perturbations each re-model-check a property
-    #: suite and dominate a campaign (about 90% of the 4-bank wall
-    #: clock), so spreading them across shards is what makes jobs=N scale
-    LAYER_WEIGHTS = {"asm": 60.0, "sysc": 2.0, "rtl": 1.0, "stim": 1.0}
+    #: relative per-fault cost by layer (an RTL fault is 1), used by the
+    #: deterministic shard planner; ASM faults are priced by
+    #: :meth:`_shard_weight`
+    LAYER_WEIGHTS = {"sysc": 2.0, "rtl": 1.0, "stim": 1.0}
+
+    def _shard_weight(self, fault: Fault) -> float:
+        if fault.layer == "asm":
+            # one product walk per fault, whose state space grows about
+            # 4x per bank: measured at ~1, ~3 and ~37 RTL faults' cost at
+            # 1, 2 and 4 banks (about 70% of a 4-bank campaign's wall
+            # clock), so spreading them is what makes jobs=N scale there
+            return 2.5 * 4.0 ** (self.config.banks - 2)
+        return self.LAYER_WEIGHTS.get(fault.layer, 1.0)
 
     def _run_parallel(self, pending: List[Fault], completed: dict,
                       on_verdict, jobs: int, start: float,
@@ -1011,10 +1018,7 @@ class FaultCampaign:
         from ..par.workers import campaign_init, campaign_shard
 
         config = self.config
-        shards = plan_shards(
-            pending, jobs,
-            weight=lambda f: self.LAYER_WEIGHTS.get(f.layer, 1.0),
-        )
+        shards = plan_shards(pending, jobs, weight=self._shard_weight)
         timeout = None
         if config.campaign_deadline_s is not None:
             timeout = max(

@@ -96,7 +96,7 @@ def plan_shards(
     With no ``weight`` every item counts 1 (round-robin-like balance);
     with one, the classic greedy LPT heuristic keeps the heaviest items
     spread across shards, which is what makes the 4-bank fault campaign
-    scale (three ASM faults carry ~90% of its cost).  Empty shards are
+    scale (three ASM faults carry ~70% of its cost).  Empty shards are
     dropped.  ``jobs <= 1`` returns a single shard with the original
     order.
     """

@@ -148,6 +148,18 @@ class TestDeadlinesAndContainment:
         assert verdict.outcome == "truncated"
         assert "deadline" in verdict.detail
 
+    def test_asm_bounds_truncate_instead_of_silent(self, monkeypatch):
+        from repro.fault import campaign
+
+        monkeypatch.setattr(campaign, "ASM_MAX_STATES", 8)
+        monkeypatch.setattr(campaign, "ASM_MAX_TRANSITIONS", 16)
+        report = FaultCampaign(CampaignConfig()).run(
+            faults=[AsmPerturbation("stall_read", 0)], resume=False)
+        (verdict,) = report.verdicts
+        assert verdict.outcome == "truncated"
+        assert verdict.detail.startswith("ASM exploration bounds")
+        assert "8 states" in verdict.detail
+
     def test_bad_fault_contained_as_error_verdict(self):
         faults = [
             RtlStuckAt("la1_top.no.such.net", 0, 1),
@@ -171,3 +183,71 @@ class TestDeadlinesAndContainment:
         report = FaultCampaign(CampaignConfig()).run(
             faults=[ProtocolMutation("corrupt_address", 0)], resume=False)
         assert report.coverage("rtl") == 1.0  # no RTL faults in the pool
+
+
+#: fault-id suffixes of the ASM coverage points each default ASM fault
+#: covers, as the one-walk-per-property checker of the earlier release
+#: reported them
+_ASM_COVERAGE_1 = [
+    "pred.any_read", "pred.any_write", "pred.read_write_concurrent",
+    "pred.rp0_fetch", "pred.rp0_out0", "pred.rp0_out1", "pred.rp0_req",
+    "pred.wcommit0", "pred.wp0_data", "pred.wp0_sel",
+    "rule.EdgeK", "rule.EdgeKSharp",
+]
+_ASM_COVERAGE_2 = [
+    "pred.any_read", "pred.any_write", "pred.read_write_concurrent",
+    "pred.rp0_fetch", "pred.rp0_out0", "pred.rp0_out1", "pred.rp0_req",
+    "pred.rp1_fetch", "pred.rp1_out0", "pred.rp1_out1", "pred.rp1_req",
+    "pred.wcommit0", "pred.wcommit1", "pred.wp0_data", "pred.wp0_sel",
+    "pred.wp1_data", "pred.wp1_sel", "rule.EdgeK", "rule.EdgeKSharp",
+]
+ASM_VERDICT_PINS = {
+    (1, "stall_read", 0): (
+        "read_latency[0]",
+        [p for p in _ASM_COVERAGE_1 if p not in ("pred.rp0_out0",
+                                                 "pred.rp0_out1")]),
+    (1, "drop_commit", 0): (
+        "write_commit[0]",
+        [p for p in _ASM_COVERAGE_1 if p != "pred.wcommit0"]),
+    (1, "spurious_data", 0): ("no_spurious_data[0]", _ASM_COVERAGE_1),
+    (2, "stall_read", 0): (
+        "read_latency[0]",
+        [p for p in _ASM_COVERAGE_2 if p not in ("pred.rp0_out0",
+                                                 "pred.rp0_out1")]),
+    (2, "drop_commit", 0): (
+        "write_commit[0]",
+        [p for p in _ASM_COVERAGE_2 if p != "pred.wcommit0"]),
+    (2, "spurious_data", 1): ("no_spurious_data[1]", _ASM_COVERAGE_2),
+}
+
+
+class TestAsmLayer:
+    @pytest.mark.parametrize("banks,kind,bank", sorted(ASM_VERDICT_PINS))
+    def test_default_asm_verdicts_pinned(self, banks, kind, bank):
+        fault = AsmPerturbation(kind, bank)
+        report = FaultCampaign(CampaignConfig(banks=banks)).run(
+            faults=[fault], resume=False)
+        (verdict,) = report.verdicts
+        data = verdict.to_dict()
+        detector, points = ASM_VERDICT_PINS[(banks, kind, bank)]
+        prefix = f"la1_asm_{banks}banks+{fault.fault_id}."
+        assert data["outcome"] == "detected"
+        assert data["detected_by"] == [detector]
+        assert data["detail"] == ""
+        assert data["coverage_points"] == sorted(
+            f"asm.{p.split('.')[0]}.{prefix}{p.split('.')[1]}"
+            for p in points)
+
+    def test_four_bank_asm_faults_detected(self):
+        from repro.fault import expected_asm_detectors
+
+        faults = [f for f in default_fault_list(banks=4)
+                  if isinstance(f, AsmPerturbation)]
+        assert len(faults) == 3
+        report = FaultCampaign(CampaignConfig(banks=4)).run(
+            faults=faults, resume=False)
+        for fault, verdict in zip(faults, report.verdicts):
+            assert verdict.fault_id == fault.fault_id
+            assert verdict.outcome == "detected"
+            assert set(expected_asm_detectors(fault)) \
+                <= set(verdict.detected_by), fault.fault_id
